@@ -1,7 +1,8 @@
 """expwin: window-function engineering toolkit.
 
 Classical window catalog, exponential-kernel window reconstructions,
-dual-path spectrum computation (zero-padded FFT and Simpson quadrature),
+dual-path spectrum computation (sampled Riemann sum and Simpson
+quadrature, both through one chirp-z band transform),
 and the six-parameter spectral evaluation suite.
 """
 from .kernels import (

@@ -14,18 +14,14 @@ import sys
 import numpy as np
 
 from .spectrum import spectrum_fft, spectrum_quadrature
-from .specs import SpecParseError, format_window_spec, parse_window_spec
+from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
 from .metrics import full_report
-from .windows import CATALOG, BadParameterError, sample
+from .windows import CATALOG, sample
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _write(out, text: str) -> None:
-    out.write(text)
 
 
 def cmd_list(args, out) -> int:
@@ -42,7 +38,7 @@ def cmd_list(args, out) -> int:
     lines.append("  exp:poly:m=<r>,n=<r>   kernel t^m (1-t)^n")
     lines.append("  exp:sine:c=<r>         kernel c sin(pi t)")
     lines.append("  exp:win:<catalog-spec> kernel = catalog window")
-    _write(out, "\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -52,7 +48,7 @@ def cmd_sample(args, out) -> int:
     rows = ["t,w"]
     for k, v in enumerate(w.values):
         rows.append(f"{_fmt(k / args.n)},{_fmt(v)}")
-    _write(out, "\n".join(rows) + "\n")
+    out.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -67,7 +63,7 @@ def cmd_spectrum(args, out) -> int:
     rows = ["f_hz,abs,db"]
     for f, a, d in zip(s.frequencies, s.magnitudes, s.db):
         rows.append(f"{_fmt(f)},{_fmt(a)},{_fmt(d)}")
-    _write(out, "\n".join(rows) + "\n")
+    out.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -76,7 +72,7 @@ def cmd_metrics(args, out) -> int:
     report = full_report(wdef, label=args.spec)
     payload = {"window": format_window_spec(wdef)}
     payload.update(report.as_dict())
-    _write(out, json.dumps(payload, indent=2) + "\n")
+    out.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -119,14 +115,14 @@ def cmd_table(args, out) -> int:
     if args.format == "csv":
         lines = [",".join(TABLE_COLUMNS)]
         lines += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rendered]
-        _write(out, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     else:
         widths = [max(len(r[i]) for r in rendered + [TABLE_COLUMNS]) for i in range(len(TABLE_COLUMNS))]
         def fmt_row(cells):
             return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
         lines = [fmt_row(TABLE_COLUMNS), fmt_row(["-" * w for w in widths])]
         lines += [fmt_row(r) for r in rendered]
-        _write(out, "\n".join(lines) + "\n")
+        out.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -147,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     spc.add_argument("spec")
     spc.add_argument("--fmax", type=float, default=50.0, help="highest frequency, Hz")
     spc.add_argument("--method", choices=["fft", "quad"], default="fft")
-    spc.add_argument("--pad", type=int, default=128, help="zero-padded duration, s (grid = 1/pad Hz)")
+    spc.add_argument("--pad", type=int, default=128, help="frequency grid spacing is 1/pad Hz")
     spc.add_argument("--n", type=int, default=8192, help="samples for the fft method")
 
     mt = sub.add_parser("metrics", help="six evaluation parameters as JSON")
@@ -178,14 +174,8 @@ def main(argv=None) -> int:
             with open(out_path, "w", newline="\n") as fh:
                 return _HANDLERS[args.command](args, fh)
         return _HANDLERS[args.command](args, sys.stdout)
-    except (SpecParseError, BadParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        if args.command == "metrics":
-            print(json.dumps({"error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,9 @@
 """Kernel functions B(t) feeding the exponential window construction.
 
 A kernel is any function that is strictly positive on the open unit
-interval and approaches a non-negative limit at both endpoints.  Three
+interval and approaches a non-negative limit at both endpoints; a value
+that underflows to exactly 0 in double precision is accepted and gives
+W = 0 there.  Three
 families are supported: two-exponent polynomials t^m (1-t)^n, scaled
 sines c*sin(pi*t), and wrapped catalog windows (the window itself acts
 as the kernel).
@@ -9,10 +11,9 @@ as the kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 class InvalidKernelError(ValueError):
@@ -46,11 +47,7 @@ class ScaledSineKernel:
 
 @dataclass(frozen=True)
 class WrappedWindowKernel:
-    """B(t) = W(t) for a catalog window, identified by id and parameters.
-
-    Evaluation is delegated to a callback registered by the windows
-    module, which keeps this module free of a circular import.
-    """
+    """B(t) = W(t) for a catalog window, identified by id and parameters."""
 
     window_id: str
     params: Tuple[Tuple[str, float], ...] = ()
@@ -62,26 +59,13 @@ class WrappedWindowKernel:
 
 KernelSpec = Union[PolynomialKernel, ScaledSineKernel, WrappedWindowKernel]
 
-# Filled in by expwin.windows at import time.
-_window_evaluator: Callable = None
-
-
-def register_window_evaluator(fn: Callable) -> None:
-    """Install the catalog evaluator used by WrappedWindowKernel.
-
-    ``fn(window_id, params_dict, t)`` must return W(t) for scalar or
-    array ``t``.
-    """
-    global _window_evaluator
-    _window_evaluator = fn
-
 
 def kernel_eval(spec: KernelSpec, t):
     """Evaluate B(t) for scalar or array ``t`` in [0, 1].
 
     Endpoint values are the one-sided limits (0 for polynomial and
     scaled-sine kernels).  Raises InvalidKernelError if the kernel is
-    non-positive at a requested interior point.
+    negative or NaN at a requested interior point.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -98,48 +82,27 @@ def kernel_eval(spec: KernelSpec, t):
         out = spec.c * np.sin(np.pi * np.clip(t_arr, 0.0, 1.0))
         out[(t_arr <= 0.0) | (t_arr >= 1.0)] = 0.0
     elif isinstance(spec, WrappedWindowKernel):
-        if _window_evaluator is None:
-            raise RuntimeError("no window evaluator registered for wrapped kernels")
-        out = np.atleast_1d(
-            np.asarray(_window_evaluator(spec.window_id, spec.params_dict, t_arr), dtype=float)
-        )
+        from .windows import catalog_eval  # windows imports this module
+
+        out = catalog_eval(spec.window_id, spec.params_dict, t_arr)
     else:
         raise TypeError(f"unknown kernel spec: {spec!r}")
 
     interior = (t_arr > 0.0) & (t_arr < 1.0)
-    if np.any(out[interior] <= 0.0):
-        raise InvalidKernelError(f"kernel {spec!r} is non-positive inside (0,1)")
+    if not np.all(out[interior] >= 0.0):
+        raise InvalidKernelError(f"kernel {spec!r} is negative or NaN inside (0,1)")
     return float(out[0]) if scalar else out
 
 
 def kernel_max(spec: KernelSpec) -> Tuple[float, float]:
     """Locate the maximum of B(t) on (0, 1).
 
-    Returns ``(t_star, b_max)``.  Polynomial kernels use the closed form
-    t_star = m/(m+n); other variants are maximized by a dense grid scan
-    followed by bounded local refinement.
+    Returns ``(t_star, b_max)`` in closed form: t_star = m/(m+n) for
+    polynomial kernels, and 1/2 for scaled sines and wrapped catalog
+    windows, which are all symmetric about 1/2 and peak there.
     """
-    if isinstance(spec, PolynomialKernel):
-        t_star = spec.m / (spec.m + spec.n)
-        b_max = kernel_eval(spec, t_star)
-    else:
-        grid = np.linspace(0.0, 1.0, 10001)[1:-1]
-        vals = kernel_eval(spec, grid)
-        k = int(np.argmax(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        res = minimize_scalar(
-            lambda x: -kernel_eval(spec, float(x)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t_star = float(res.x)
-        b_max = kernel_eval(spec, t_star)
-        # A flat-topped kernel (e.g. wrapped Tukey) may tie across a
-        # plateau; any maximizer is acceptable for normalization.
-        if vals[k] > b_max:
-            t_star, b_max = float(grid[k]), float(vals[k])
+    t_star = spec.m / (spec.m + spec.n) if isinstance(spec, PolynomialKernel) else 0.5
+    b_max = kernel_eval(spec, t_star)
     if not b_max > 0.0:
         raise InvalidKernelError(f"kernel {spec!r} has non-positive maximum {b_max}")
     return float(t_star), float(b_max)

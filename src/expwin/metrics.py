@@ -10,7 +10,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectrum import LobeSegmentation, segment_lobes, spectrum_fft, spectrum_quadrature
+from .spectrum import (
+    LobeSegmentation,
+    _simpson_weights,
+    segment_lobes,
+    spectrum_fft,
+    spectrum_quadrature,
+)
 from .windows import WindowDef, sample, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
@@ -21,7 +27,7 @@ class InsufficientLobesError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """Sidelobe peaks above threshold persist at the scan limit."""
+    """No sidelobe peak falls below the threshold within the scan limit."""
 
 
 class MetricsError(RuntimeError):
@@ -34,7 +40,7 @@ class MetricsReport:
     leakage_pct: float        # 100 * (1 - main-lobe energy fraction)
     sidelobe_db: float        # first sidelobe height, negative
     sidelobe_width_hz: float  # first sidelobe width
-    decay_scale_hz: float     # last sidelobe peak at or above -60 dB
+    decay_scale_hz: float     # first sidelobe peak below -60 dB
     half_width_0p1s: float    # time-domain half width, units of 0.1 s
 
     def as_dict(self) -> dict:
@@ -58,17 +64,11 @@ def energy_leakage(wdef: WindowDef, omega0_hz: float, f_step: float = 0.005) -> 
     panels = max(panels, 2)
     f_nodes = np.linspace(0.0, omega0_hz, panels + 1)
     spec = spectrum_quadrature(wdef, f_nodes)
-    h = omega0_hz / panels
-    wts = np.ones(panels + 1)
-    wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
-    lobe_energy = 2.0 * (h / 3.0) * float(np.dot(wts, spec.magnitudes ** 2))
+    lobe_energy = 2.0 * omega0_hz * float(np.dot(_simpson_weights(panels), spec.magnitudes ** 2))
 
     tp = 2 ** 15
-    t = np.linspace(0.0, 1.0, tp + 1)
-    tw = np.ones(tp + 1)
-    tw[1:-1:2], tw[2:-1:2] = 4.0, 2.0
-    w2 = np.asarray(window_eval(wdef, t), dtype=float) ** 2
-    total_energy = float(np.dot(tw, w2)) / (3.0 * tp)
+    w2 = np.asarray(window_eval(wdef, np.linspace(0.0, 1.0, tp + 1)), dtype=float) ** 2
+    total_energy = float(np.dot(_simpson_weights(tp), w2))
 
     leak = 100.0 * (1.0 - lobe_energy / total_energy)
     return max(leak, 0.0)
@@ -93,7 +93,7 @@ def decay_scale(
     below = seg.peak_db < threshold_db
     if not below.any():
         raise NotConvergedError(
-            f"sidelobe peaks at or above {threshold_db} dB persist at {f_max} Hz"
+            f"no sidelobe peak falls below {threshold_db} dB up to {f_max} Hz"
         )
     first = int(np.argmax(below))
     return float(seg.peak_freqs[first])

@@ -2,8 +2,9 @@
 
 The transform convention is Fhat(f) = integral_0^1 exp(2*pi*i*f*t) W(t) dt
 with frequencies in Hz.  Two independent evaluation paths are provided:
-a zero-padded FFT of the sampled window, and direct composite-Simpson
-quadrature of the defining integral (the oracle for the FFT path).
+a Riemann sum over the sampled window, and composite-Simpson quadrature
+of the defining integral (the oracle for the sampled path).  Both
+evaluate a uniform frequency band with one chirp-z transform.
 """
 from __future__ import annotations
 
@@ -55,29 +56,43 @@ class LobeSegmentation:
         return float(self.nulls[0])
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n - 1)).bit_length()
+def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
+    """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = 0..m-1.
+
+    Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
+    sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
+    a = dt*df, done by power-of-two FFTs.  The chirp phase a*k^2 is
+    reduced mod 2 before multiplying by pi, so it stays exact whenever
+    a is a power of two.
+    """
+    n = g.size
+    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
+    k2 = np.arange(max(n, m), dtype=float) ** 2
+    chirp = np.exp(1j * np.pi * np.fmod(dt * df * k2, 2.0))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    conv = np.fft.ifft(np.fft.fft(g * chirp[:n], size) * np.fft.fft(kernel))
+    return chirp[:m] * conv[:m]
 
 
 def spectrum_fft(w: SampledWindow, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
-    """Spectrum via FFT of the zero-padded sample record.
+    """Spectrum of the sample record on the grid k/pad_factor Hz up to f_max.
 
-    The record is padded to pad_factor seconds (rounded up to a power of
-    two in total length), giving a frequency grid spacing of
-    1/pad_factor Hz for power-of-two sample counts.  Amplitudes carry
-    the dt scaling so that the f=0 bin approximates integral of W.
+    The Riemann sum dt * sum_k W(k dt) exp(2 pi i f k dt) is evaluated
+    at exactly the requested bins, for any sample count; the f=0 bin
+    approximates integral of W.  Raises ValueError for f_max outside
+    [0, Nyquist], where the bins would alias.
     """
     if pad_factor < 2:
         raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
-    total = _next_pow2(w.n_samples * pad_factor)
-    padded = np.zeros(total)
-    padded[: w.n_samples] = w.values
-    # conj() flips numpy's e^{-i2pi ft} sign to match the e^{+i2pi ft}
-    # convention; magnitudes are unaffected.
-    amps = np.conj(np.fft.rfft(padded)) * w.dt
-    freqs = np.arange(amps.size) / (total * w.dt)
-    keep = freqs <= f_max + 1e-12
-    return Spectrum(frequencies=freqs[keep], amplitudes=amps[keep])
+    nyquist = 0.5 / w.dt
+    if not 0.0 <= f_max <= nyquist:
+        raise ValueError(f"f_max must be in [0, {nyquist:g}] Hz (Nyquist), got {f_max:g}")
+    freqs = np.arange(int(f_max * pad_factor) + 2) / pad_factor
+    freqs = freqs[freqs <= f_max + 1e-12]
+    amps = _band_dft(w.values, w.dt, 1.0 / pad_factor, freqs.size) * w.dt
+    return Spectrum(frequencies=freqs, amplitudes=amps)
 
 
 def _simpson_weights(panels: int) -> np.ndarray:
@@ -92,17 +107,17 @@ def spectrum_quadrature(
 ) -> Spectrum:
     """Spectrum by composite Simpson quadrature of the defining integral.
 
-    Independent of the FFT path: the window is re-evaluated on a dense
-    quadrature grid and each frequency is integrated directly.  For a
-    uniform frequency grid the oscillatory factor is advanced by an
-    incremental phasor (re-anchored periodically to keep round-off from
-    accumulating), which avoids recomputing a full complex exponential
-    per frequency.
+    Independent of the sampled path: the window is re-evaluated on a
+    dense quadrature grid that includes t = 1.  A uniform frequency grid
+    goes through the chirp-z band transform (exp(2 pi i f0 t) folded into
+    the integrand for a grid starting at f0); any other grid is summed
+    directly, one frequency at a time.
     """
     f = np.asarray(f_grid, dtype=float)
     if f.ndim != 1 or f.size == 0:
         raise ValueError("f_grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(f) < 0) or np.any(f < 0):
+    steps = np.diff(f)
+    if np.any(steps < 0) or np.any(f < 0):
         raise ValueError("f_grid must be sorted and non-negative")
     if panels < 2 ** 15:
         panels = 2 ** 15
@@ -112,20 +127,11 @@ def spectrum_quadrature(
     t = np.linspace(0.0, 1.0, panels + 1)
     g = _simpson_weights(panels) * np.asarray(window_eval(wdef, t), dtype=float)
 
-    amps = np.empty(f.size, dtype=complex)
-    steps = np.diff(f)
-    uniform = f.size > 2 and np.allclose(steps, steps[0], rtol=0.0, atol=1e-12)
-    if uniform:
-        step_phasor = np.exp(2j * np.pi * steps[0] * t)
-        phasor = np.exp(2j * np.pi * f[0] * t)
-        for j in range(f.size):
-            if j and j % 256 == 0:
-                phasor = np.exp(2j * np.pi * f[j] * t)  # re-anchor
-            amps[j] = np.dot(g, phasor)
-            phasor = phasor * step_phasor
+    if f.size > 2 and np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
+        df = (f[-1] - f[0]) / (f.size - 1)
+        amps = _band_dft(g * np.exp(2j * np.pi * f[0] * t), 1.0 / panels, df, f.size)
     else:
-        for j in range(f.size):
-            amps[j] = np.dot(g, np.exp(2j * np.pi * f[j] * t))
+        amps = np.array([np.dot(g, np.exp(2j * np.pi * fj * t)) for fj in f])
     return Spectrum(frequencies=f, amplitudes=amps)
 
 

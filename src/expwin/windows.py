@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from . import kernels
 from .kernels import KernelSpec, kernel_eval, kernel_max
 
 # exp() underflows to 0 below roughly exp(-745); beyond that the true
@@ -24,25 +22,6 @@ _UNDERFLOW_EXPONENT = 745.0
 
 class BadParameterError(ValueError):
     """Window parameter outside its documented range."""
-
-
-def _bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series sum_k ((x/2)^2k / (k!)^2), accumulated until the next
-    term is below 1e-16 relative to the running sum.
-    """
-    x = np.asarray(x, dtype=float)
-    half_sq = (x / 2.0) ** 2
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 0
-    while True:
-        k += 1
-        term = term * half_sq / (k * k)
-        total = total + term
-        if np.all(term <= 1e-16 * total):
-            return total
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -97,7 +76,7 @@ def _w_kaiser(t, p):
     alpha = p["alpha"]
     _require(alpha > 0, f"kaiser alpha must be > 0, got {alpha}")
     arg = np.pi * alpha * np.sqrt(np.clip(1.0 - (2.0 * t - 1.0) ** 2, 0.0, None))
-    return _bessel_i0(arg) / float(_bessel_i0(np.pi * alpha))
+    return np.i0(arg) / float(np.i0(np.pi * alpha))
 
 
 def _w_tukey(t, p):
@@ -149,9 +128,6 @@ CATALOG: Dict[str, tuple] = {
     "avci_exp": (_w_avci_exp, {"alpha": 2.0}, "exp(a sqrt(1-4(t-0.5)^2)) / exp(a)"),
 }
 
-# Windows whose formula stays strictly positive at t = 0 and t = 1.
-STARRED = frozenset({"gaussian", "cauchy_lorentz", "poisson", "hamming", "avci_exp"})
-
 
 def catalog_eval(window_id: str, params: Optional[Mapping[str, float]], t):
     """Evaluate a catalog window at scalar or array ``t``.
@@ -175,9 +151,6 @@ def catalog_eval(window_id: str, params: Optional[Mapping[str, float]], t):
     out = np.asarray(fn(t_arr, p), dtype=float)
     out[(t_arr < 0.0) | (t_arr > 1.0)] = 0.0
     return float(out[0]) if scalar else out
-
-
-kernels.register_window_evaluator(catalog_eval)
 
 
 @dataclass(frozen=True)
@@ -205,19 +178,13 @@ def catalog(window_id: str, **params: float) -> CatalogWindow:
     return w
 
 
-@lru_cache(maxsize=256)
-def _kernel_norm(kernel: KernelSpec) -> Tuple[float, float]:
-    t_star, b_max = kernel_max(kernel)
-    return t_star, b_max
-
-
 def exp_window_eval(kernel: KernelSpec, t):
     """Exponential reconstruction W(t) = exp(1/B_max - 1/B(t)).
 
-    Zero outside (0, 1) and wherever the exponent falls below the
-    double-precision underflow threshold.
+    Zero outside (0, 1), wherever B(t) underflows to 0, and wherever the
+    exponent falls below the double-precision underflow threshold.
     """
-    _, b_max = _kernel_norm(kernel)
+    _, b_max = kernel_max(kernel)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
@@ -226,7 +193,8 @@ def exp_window_eval(kernel: KernelSpec, t):
     interior = (t_arr > 0.0) & (t_arr < 1.0)
     b = kernel_eval(kernel, t_arr[interior])
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    exponent = 1.0 / b_max - 1.0 / b
+    with np.errstate(divide="ignore"):
+        exponent = 1.0 / b_max - 1.0 / b
     vals = np.where(exponent < -_UNDERFLOW_EXPONENT, 0.0, np.exp(np.maximum(exponent, -_UNDERFLOW_EXPONENT)))
     out[interior] = vals
     return float(out[0]) if scalar else out

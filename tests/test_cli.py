@@ -135,6 +135,18 @@ class TestSpectrumCommand:
         assert np.max(np.abs(a_f - a_q)) / a_q[0] < 1e-4
 
 
+    def test_above_nyquist_fails(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--fmax", "500", "--n", "256")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Nyquist" in err
+
+    def test_wrapped_planck_taper(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "exp:win:planck_taper:epsilon=0.1")
+        assert code == 0
+        assert out.count("\n") == 1 + 6401
+
+
 class TestMetricsCommand:
     def test_rectangular_json(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "rectangular")
@@ -161,6 +173,18 @@ class TestMetricsCommand:
         code, _, err = run_cli(capsys, "metrics", "bogus:x=1")
         assert code == 1
         assert "bogus" in err
+
+    def test_unwritable_out_path_fails_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "no_such_dir" / "x.json"
+        code, out, err = run_cli(capsys, "metrics", "hann", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "no_such_dir" in err
+
+    def test_wrapped_planck_taper(self, capsys):
+        code, out, _ = run_cli(capsys, "metrics", "exp:win:planck_taper")
+        assert code == 0
+        assert json.loads(out)["window"] == "exp:win:planck_taper"
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from expwin.kernels import (
     kernel_eval,
     kernel_max,
 )
+from expwin.windows import CATALOG
 
 
 class TestKernelEval:
@@ -76,6 +77,13 @@ class TestKernelMax:
     def test_wrapped_flat_top_plateau(self):
         _, b_max = kernel_max(WrappedWindowKernel("tukey", (("alpha", 0.5),)))
         assert b_max == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("wid", sorted(CATALOG))
+    def test_wrapped_catalog_peaks_at_midpoint(self, wid):
+        k = WrappedWindowKernel(wid)
+        t_star, b_max = kernel_max(k)
+        assert t_star == 0.5 and b_max == pytest.approx(1.0, abs=1e-15)
+        assert np.all(kernel_eval(k, np.linspace(0, 1, 10001)) <= b_max)
 
     @given(
         m=st.floats(0.1, 4.0),

@@ -41,6 +41,32 @@ class TestSpectrumFFT:
         assert s.db[0] == 0.0
         assert np.all(s.db[1:] <= 0.0)
 
+    def test_grid_exact_for_any_sample_count(self):
+        s = spectrum_fft(sample(catalog("rectangular"), 1000), 128, 1.0)
+        assert np.array_equal(s.frequencies, np.arange(129) / 128)
+
+    # With a power-of-two N the chirp phases are exact and only FFT
+    # round-off (about 4e-16) remains; 1/N = 0.001 is itself rounded.
+    @pytest.mark.parametrize("n,tol", [(8192, 2e-15), (1000, 1e-12)])
+    def test_matches_direct_sum_at_probe_bins(self, n, tol):
+        # dt * sum_k w_k exp(2 pi i f k/N), with the phase f k/N reduced
+        # exactly in integers; the last probe is the bin at 500 Hz
+        w = sample(ExpKernelWindow(PolynomialKernel(1, 1)), n)
+        s = spectrum_fft(w, 128, 500.0)
+        probes = [0, 1, 128, 12345, 40000, 64000]
+        assert s.frequencies[-1] == 500.0 and s.frequencies.size == 64001
+        k = np.arange(n)
+        for j in probes:
+            phase = 2 * np.pi * ((j * k) % (128 * n)) / (128 * n)
+            direct = np.sum(w.values * np.exp(1j * phase)) / n
+            assert abs(s.amplitudes[j] - direct) < tol * abs(s.amplitudes[0])
+
+    def test_above_nyquist_rejected(self):
+        w = sample(catalog("hann"), 256)
+        assert spectrum_fft(w, 128, 128.0).frequencies[-1] == 128.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            spectrum_fft(w, 128, 500.0)
+
 
 class TestSpectrumQuadrature:
     def test_rectangular_null_at_integer(self):
@@ -60,13 +86,22 @@ class TestSpectrumQuadrature:
         assert rel < 1e-4
 
     def test_uniform_and_arbitrary_grids_agree(self):
-        # the incremental-phasor fast path must match direct evaluation
+        # the chirp-z band transform must match direct evaluation
         wdef = catalog("hann")
         f_uniform = np.arange(600) * 0.01
         s_u = spectrum_quadrature(wdef, f_uniform)
         picks = [0, 1, 17, 123, 599]
         s_d = spectrum_quadrature(wdef, f_uniform[picks] + 0.0)
         # non-uniform selection goes through the direct branch
+        assert np.max(np.abs(s_u.amplitudes[picks] - s_d.amplitudes)) < 1e-12
+
+    def test_offset_grid_matches_direct_sum(self):
+        # a uniform grid not starting at 0 folds exp(2 pi i f0 t) into g
+        wdef = catalog("kaiser")
+        f_uniform = 3.3 + np.arange(400) * 0.07
+        s_u = spectrum_quadrature(wdef, f_uniform)
+        picks = [0, 1, 57, 250, 399]
+        s_d = spectrum_quadrature(wdef, f_uniform[picks])
         assert np.max(np.abs(s_u.amplitudes[picks] - s_d.amplitudes)) < 1e-12
 
     def test_conjugate_symmetry(self):

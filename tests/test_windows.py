@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import i0 as scipy_i0
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel
+from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel, kernel_eval
 from expwin.windows import (
     CATALOG,
     BadParameterError,
     ExpKernelWindow,
-    _bessel_i0,
     catalog,
     catalog_eval,
     exp_window_eval,
@@ -62,10 +61,12 @@ class TestCatalogEval:
             catalog_eval("hann", {"alpha": 1.0}, 0.5)
 
     def test_bessel_i0_matches_scipy(self):
-        x = np.linspace(0.0, 30.0, 121)
-        ours = _bessel_i0(x)
-        ref = scipy_i0(x)
-        assert np.max(np.abs(ours - ref) / ref) < 1e-14
+        t = np.linspace(0.0, 1.0, 121)
+        for alpha in (0.5, 8 / math.pi, 12.0):
+            ref = scipy_i0(np.pi * alpha * np.sqrt(1.0 - (2.0 * t - 1.0) ** 2))
+            ref = ref / scipy_i0(np.pi * alpha)
+            ours = catalog_eval("kaiser", {"alpha": alpha}, t)
+            assert np.max(np.abs(ours - ref) / ref) < 1e-14
 
 
 class TestExpWindow:
@@ -87,6 +88,13 @@ class TestExpWindow:
     def test_underflow_clamps_to_exact_zero(self):
         # 1/B(t) ~ 1e9 near the endpoint, far past the exp underflow
         assert exp_window_eval(PolynomialKernel(1, 1), 1e-9) == 0.0
+
+    def test_underflowed_kernel_gives_zero_window(self):
+        # next to the edges the Planck taper underflows to exactly 0
+        k = WrappedWindowKernel("planck_taper", (("epsilon", 0.1),))
+        t = np.array([1e-4, 0.5, 1 - 1e-4])
+        assert kernel_eval(k, t)[0] == 0.0
+        assert exp_window_eval(k, t).tolist() == [0.0, 1.0, 0.0]
 
     def test_wrapped_hann_kernel(self):
         k = WrappedWindowKernel("hann")
