@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .spectrum import spectrum_fft, spectrum_quadrature
+from .spectrum import _band_grid, spectrum_fft, spectrum_quadrature
 from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
 from .metrics import full_report
@@ -57,9 +55,7 @@ def cmd_spectrum(args, out) -> int:
     if args.method == "fft":
         s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
     else:
-        n_pts = max(int(np.floor(args.fmax * args.pad)), 0) + 1
-        f_grid = np.arange(n_pts) / args.pad
-        s = spectrum_quadrature(wdef, f_grid)
+        s = spectrum_quadrature(wdef, _band_grid(args.fmax, args.pad))
     rows = ["f_hz,abs,db"]
     for f, a, d in zip(s.frequencies, s.magnitudes, s.db):
         rows.append(f"{_fmt(f)},{_fmt(a)},{_fmt(d)}")

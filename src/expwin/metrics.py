@@ -81,9 +81,7 @@ def first_sidelobe(seg: LobeSegmentation) -> tuple:
     return float(seg.peak_db[0]), float(seg.nulls[1] - seg.nulls[0])
 
 
-def decay_scale(
-    seg: LobeSegmentation, threshold_db: float = -60.0, f_max: float = 500.0
-) -> float:
+def decay_scale(seg: LobeSegmentation, threshold_db: float = -60.0) -> float:
     """Characteristic frequency where sidelobe leakage drops below threshold.
 
     Returns the frequency of the first sidelobe peak whose height falls
@@ -93,7 +91,8 @@ def decay_scale(
     below = seg.peak_db < threshold_db
     if not below.any():
         raise NotConvergedError(
-            f"no sidelobe peak falls below {threshold_db} dB up to {f_max} Hz"
+            f"no sidelobe peak falls below {threshold_db} dB"
+            f" up to the last null at {seg.nulls[-1]:g} Hz"
         )
     first = int(np.argmax(below))
     return float(seg.peak_freqs[first])
@@ -152,7 +151,7 @@ def full_report(
     try:
         w = sample(wdef, n_samples)
         spec = spectrum_fft(w, pad_factor=pad_factor, f_max=f_max)
-        seg = segment_lobes(spec, f_max=f_max)
+        seg = segment_lobes(spec)
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)
         return MetricsReport(
@@ -160,7 +159,7 @@ def full_report(
             leakage_pct=energy_leakage(wdef, omega0),
             sidelobe_db=sl_db,
             sidelobe_width_hz=sl_width,
-            decay_scale_hz=decay_scale(seg, f_max=f_max),
+            decay_scale_hz=decay_scale(seg),
             half_width_0p1s=half_width_numeric(wdef),
         )
     except Exception as exc:

@@ -9,7 +9,7 @@ evaluate a uniform frequency band with one chirp-z transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,6 +76,16 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
     return chirp[:m] * conv[:m]
 
 
+def _band_grid(f_max: float, pad_factor: int) -> np.ndarray:
+    """The grid k/pad_factor Hz, k >= 0, up to f_max (1e-12 Hz slack)."""
+    if pad_factor < 2:
+        raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
+    if f_max < 0.0:
+        raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
+    freqs = np.arange(int(f_max * pad_factor) + 2) / pad_factor
+    return freqs[freqs <= f_max + 1e-12]
+
+
 def spectrum_fft(w: SampledWindow, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
     """Spectrum of the sample record on the grid k/pad_factor Hz up to f_max.
 
@@ -84,13 +94,10 @@ def spectrum_fft(w: SampledWindow, pad_factor: int = 128, f_max: float = 500.0) 
     approximates integral of W.  Raises ValueError for f_max outside
     [0, Nyquist], where the bins would alias.
     """
-    if pad_factor < 2:
-        raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
     nyquist = 0.5 / w.dt
-    if not 0.0 <= f_max <= nyquist:
+    if f_max > nyquist:
         raise ValueError(f"f_max must be in [0, {nyquist:g}] Hz (Nyquist), got {f_max:g}")
-    freqs = np.arange(int(f_max * pad_factor) + 2) / pad_factor
-    freqs = freqs[freqs <= f_max + 1e-12]
+    freqs = _band_grid(f_max, pad_factor)
     amps = _band_dft(w.values, w.dt, 1.0 / pad_factor, freqs.size) * w.dt
     return Spectrum(frequencies=freqs, amplitudes=amps)
 
@@ -102,13 +109,13 @@ def _simpson_weights(panels: int) -> np.ndarray:
     return w / (3.0 * panels)
 
 
-def spectrum_quadrature(
-    wdef: WindowDef, f_grid: Sequence[float], panels: int = 2 ** 15
-) -> Spectrum:
+def spectrum_quadrature(wdef: WindowDef, f_grid: Sequence[float]) -> Spectrum:
     """Spectrum by composite Simpson quadrature of the defining integral.
 
     Independent of the sampled path: the window is re-evaluated on a
-    dense quadrature grid that includes t = 1.  A uniform frequency grid
+    dense quadrature grid that includes t = 1, with 64 panels per Hz of
+    the highest frequency and at least 2^15; frequencies above 32768 Hz
+    (2^21 panels) raise ValueError.  A uniform frequency grid
     goes through the chirp-z band transform (exp(2 pi i f0 t) folded into
     the integrand for a grid starting at f0); any other grid is summed
     directly, one frequency at a time.
@@ -119,10 +126,10 @@ def spectrum_quadrature(
     steps = np.diff(f)
     if np.any(steps < 0) or np.any(f < 0):
         raise ValueError("f_grid must be sorted and non-negative")
-    if panels < 2 ** 15:
-        panels = 2 ** 15
-    if panels % 2:
-        panels += 1
+    if f[-1] > 32768.0:
+        raise ValueError(f"quadrature is limited to 32768 Hz, got {f[-1]:g} Hz")
+    panels = max(2 ** 15, int(np.ceil(64.0 * f[-1])))
+    panels += panels % 2
 
     t = np.linspace(0.0, 1.0, panels + 1)
     g = _simpson_weights(panels) * np.asarray(window_eval(wdef, t), dtype=float)
@@ -135,60 +142,52 @@ def spectrum_quadrature(
     return Spectrum(frequencies=f, amplitudes=amps)
 
 
-def _parabolic_vertex(x0: float, h: float, ym: float, y0: float, yp: float):
-    """Vertex of the parabola through (x0-h, ym), (x0, y0), (x0+h, yp)."""
-    denom = ym - 2.0 * y0 + yp
-    if denom == 0.0 or not np.isfinite(denom):
-        return x0, y0
-    delta = 0.5 * (ym - yp) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    return x0 + delta * h, y0 - 0.25 * (ym - yp) * delta
+def _parabolic_vertex(x0, h, ym, y0, yp):
+    """Vertices of the parabolas through (x0-h, ym), (x0, y0), (x0+h, yp).
+
+    Elementwise over arrays; a flat or non-finite triple keeps its
+    middle point.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = ym - 2.0 * y0 + yp
+        keep = (denom == 0.0) | ~np.isfinite(denom)
+        delta = np.clip(0.5 * (ym - yp) / denom, -0.5, 0.5)
+        return (
+            np.where(keep, x0, x0 + delta * h),
+            np.where(keep, y0, y0 - 0.25 * (ym - yp) * delta),
+        )
 
 
-def segment_lobes(s: Spectrum, f_max: Optional[float] = None) -> LobeSegmentation:
+def segment_lobes(s: Spectrum) -> LobeSegmentation:
     """Locate spectrum nulls and the sidelobe peaks between them.
 
     Nulls are local minima of |Fhat| on the grid, refined by 3-point
     parabolic interpolation; windows without true spectral zeros still
-    yield nulls through their local minima.  Each peak is the largest
-    grid magnitude strictly between consecutive nulls, refined on the
-    dB values.
+    yield nulls through their local minima.  Each peak is the first
+    largest grid magnitude strictly between consecutive nulls, refined
+    on the dB values.  The whole grid of ``s`` is segmented.
     """
     if s.df > 0.02 + 1e-12:
         raise ValueError(f"grid spacing {s.df} Hz too coarse for segmentation")
-    if f_max is not None:
-        keep = s.frequencies <= f_max + 1e-12
-        freqs, mag, db = s.frequencies[keep], s.magnitudes[keep], s.db[keep]
-    else:
-        freqs, mag, db = s.frequencies, s.magnitudes, s.db
+    freqs, mag, db, h = s.frequencies, s.magnitudes, s.db, s.df
 
-    interior = np.arange(1, mag.size - 1)
-    is_min = (mag[interior] < mag[interior - 1]) & (mag[interior] <= mag[interior + 1])
-    min_idx = interior[is_min]
-    if min_idx.size == 0:
+    mins = np.arange(1, mag.size - 1)
+    mins = mins[(mag[mins] < mag[mins - 1]) & (mag[mins] <= mag[mins + 1])]
+    if mins.size == 0:
         raise NoNullsFoundError("no spectral local minimum below the scan limit")
+    nulls = _parabolic_vertex(freqs[mins], h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
 
-    h = s.df
-    nulls = np.array(
-        [
-            _parabolic_vertex(freqs[i], h, mag[i - 1], mag[i], mag[i + 1])[0]
-            for i in min_idx
-        ]
-    )
-
-    peak_freqs, peak_db = [], []
-    for a, b in zip(min_idx[:-1], min_idx[1:]):
-        if b - a < 2:
-            continue
-        k = a + 1 + int(np.argmax(mag[a + 1 : b]))
-        pf, pdb = _parabolic_vertex(freqs[k], h, db[k - 1], db[k], db[k + 1])
-        peak_freqs.append(pf)
-        peak_db.append(pdb)
-    return LobeSegmentation(
-        nulls=nulls,
-        peak_freqs=np.asarray(peak_freqs),
-        peak_db=np.asarray(peak_db),
-    )
+    # Each point between the first and last minima joins the lobe closed
+    # by the next minimum at or after it; that minimum is never the lobe's
+    # first largest point, since mag[m] < mag[m - 1].  Sorting by lobe,
+    # then by falling magnitude (stable, so ties keep grid order) puts
+    # each lobe's first largest point first.
+    j = np.arange(mins[0] + 1, mins[-1])
+    lobe = np.searchsorted(mins, j)
+    order = np.lexsort((-mag[j], lobe))
+    k = j[order[np.unique(lobe[order], return_index=True)[1]]]
+    peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, db[k - 1], db[k], db[k + 1])
+    return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db)
 
 
 def apply_window(signal: Sequence[float], wdef: WindowDef) -> np.ndarray:

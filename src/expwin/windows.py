@@ -214,11 +214,10 @@ class SampledWindow:
     """Uniform samples W(k/N), k = 0..N-1, over a one-second record."""
 
     values: np.ndarray
-    n_samples: int
 
     @property
     def dt(self) -> float:
-        return 1.0 / self.n_samples
+        return 1.0 / self.values.size
 
 
 def sample(wdef: WindowDef, n_samples: int) -> SampledWindow:
@@ -227,4 +226,4 @@ def sample(wdef: WindowDef, n_samples: int) -> SampledWindow:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     t = np.arange(n_samples) / n_samples
     values = np.asarray(window_eval(wdef, t), dtype=float)
-    return SampledWindow(values=values, n_samples=n_samples)
+    return SampledWindow(values=values)

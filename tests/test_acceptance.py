@@ -165,7 +165,7 @@ def test_criterion_4_parseval():
 
 def test_criterion_5_closed_form_anchors():
     failures = []
-    seg = segment_lobes(spectrum_fft(sample(catalog("rectangular"), 8192), 128, 10.0), 10.0)
+    seg = segment_lobes(spectrum_fft(sample(catalog("rectangular"), 8192), 128, 10.0))
     # sinc anchors: first zero at 1 Hz; first sidelobe via brute-force
     # maximization of |sin(pi f)/(pi f)| on (1, 2)
     fg = np.linspace(1.0, 2.0, 200001)[1:-1]

@@ -134,6 +134,23 @@ class TestSpectrumCommand:
         assert a_f.size == a_q.size
         assert np.max(np.abs(a_f - a_q)) / a_q[0] < 1e-4
 
+    def test_methods_share_frequency_grid(self, capsys):
+        # 0.29 * 100 rounds to 28.999...; both methods still end at 0.29
+        cols = {}
+        for method in ("fft", "quad"):
+            code, out, _ = run_cli(
+                capsys, "spectrum", "hann", "--fmax", "0.29", "--pad", "100", "--method", method
+            )
+            assert code == 0
+            cols[method] = [r.split(",")[0] for r in out.strip().split("\n")[1:]]
+        assert cols["fft"] == cols["quad"]
+        assert cols["quad"][-1] == "0.29"
+
+    def test_negative_fmax_quad_fails(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--fmax", "-1", "--method", "quad")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_above_nyquist_fails(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "hann", "--fmax", "500", "--n", "256")

@@ -7,6 +7,7 @@ from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKern
 from expwin.metrics import (
     InsufficientLobesError,
     MetricsError,
+    NotConvergedError,
     decay_scale,
     energy_leakage,
     first_sidelobe,
@@ -22,7 +23,7 @@ KAISER_ALPHA = 8 / math.pi
 
 
 def _segment(wdef, f_max=500.0):
-    return segment_lobes(spectrum_fft(sample(wdef, 8192), 128, f_max), f_max)
+    return segment_lobes(spectrum_fft(sample(wdef, 8192), 128, f_max))
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,15 @@ class TestDecayScale:
     def test_kaiser(self, segs):
         wdef = catalog("kaiser", alpha=KAISER_ALPHA)
         assert decay_scale(segs("kaiser", wdef)) == pytest.approx(3.54, rel=0.05)
+
+    def test_not_converged_raises(self):
+        seg = LobeSegmentation(
+            nulls=np.array([1.0, 2.0, 3.0]),
+            peak_freqs=np.array([1.5, 2.5]),
+            peak_db=np.array([-20.0, -40.0]),
+        )
+        with pytest.raises(NotConvergedError, match="last null at 3 Hz"):
+            decay_scale(seg)
 
     def test_at_least_main_lobe_width(self, segs):
         for wid in CATALOG:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from expwin.kernels import PolynomialKernel
 from expwin.spectrum import (
     NoNullsFoundError,
     SampledWindow,
+    Spectrum,
     apply_window,
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
 )
+from expwin.specs import parse_window_spec
 from expwin.windows import ExpKernelWindow, catalog, sample
 
 
@@ -104,6 +107,16 @@ class TestSpectrumQuadrature:
         s_d = spectrum_quadrature(wdef, f_uniform[picks])
         assert np.max(np.abs(s_u.amplitudes[picks] - s_d.amplitudes)) < 1e-12
 
+    @pytest.mark.parametrize("f", [2000.3, 20000.3])
+    def test_high_frequency_matches_sinc(self, f):
+        # the panel count grows with the highest frequency
+        s = spectrum_quadrature(catalog("rectangular"), [f])
+        assert s.magnitudes[0] == pytest.approx(_sinc_mag(f), rel=2e-6)
+
+    def test_frequency_limit(self):
+        with pytest.raises(ValueError, match="32768"):
+            spectrum_quadrature(catalog("rectangular"), [0.0, 32768.5])
+
     def test_conjugate_symmetry(self):
         # real windows: Fhat(-f) = conj(Fhat(f)); checked by direct Simpson
         from expwin.windows import window_eval
@@ -119,10 +132,35 @@ class TestSpectrumQuadrature:
             assert neg == pytest.approx(np.conj(pos), abs=1e-12)
 
 
+def _segment_loop(s):
+    """Reference segmentation, one null and one lobe at a time."""
+    mag, db, h = s.magnitudes, s.db, s.df
+
+    def vertex(x0, ym, y0, yp):
+        denom = ym - 2.0 * y0 + yp
+        if denom == 0.0 or not np.isfinite(denom):
+            return x0, y0
+        delta = float(np.clip(0.5 * (ym - yp) / denom, -0.5, 0.5))
+        return x0 + delta * h, y0 - 0.25 * (ym - yp) * delta
+
+    mins = [i for i in range(1, mag.size - 1) if mag[i - 1] > mag[i] <= mag[i + 1]]
+    nulls = [vertex(s.frequencies[i], mag[i - 1], mag[i], mag[i + 1])[0] for i in mins]
+    peaks = []
+    for a, b in zip(mins[:-1], mins[1:]):
+        k = a + 1 + int(np.argmax(mag[a + 1 : b]))
+        peaks.append(vertex(s.frequencies[k], db[k - 1], db[k], db[k + 1]))
+    peaks = np.array(peaks, dtype=float).reshape(-1, 2)
+    return np.array(nulls), peaks[:, 0], peaks[:, 1]
+
+
+def _hand_spectrum(mags):
+    return Spectrum(frequencies=np.arange(len(mags)) * 0.01, amplitudes=np.array(mags, float))
+
+
 @pytest.fixture(scope="module")
 def rect_seg():
     s = spectrum_fft(sample(catalog("rectangular"), 8192), 128, 10.0)
-    return segment_lobes(s, 10.0)
+    return segment_lobes(s)
 
 
 class TestSegmentLobes:
@@ -143,23 +181,65 @@ class TestSegmentLobes:
 
     def test_hann_main_lobe_edge(self):
         s = spectrum_fft(sample(catalog("hann"), 8192), 128, 10.0)
-        seg = segment_lobes(s, 10.0)
+        seg = segment_lobes(s)
         assert seg.main_lobe_edge == pytest.approx(2.00, abs=0.01)
 
     def test_starred_window_minima_count_as_nulls(self):
         s = spectrum_fft(sample(catalog("poisson"), 8192), 128, 10.0)
-        seg = segment_lobes(s, 10.0)
+        seg = segment_lobes(s)
         assert seg.nulls.size >= 2
 
     def test_no_nulls_raises(self):
-        s = spectrum_fft(sample(catalog("hann"), 8192), 128, 10.0)
+        s = spectrum_fft(sample(catalog("hann"), 8192), 128, 1.0)
         with pytest.raises(NoNullsFoundError):
-            segment_lobes(s, 1.0)  # below the first null at 2 Hz
+            segment_lobes(s)  # below the first null at 2 Hz
+
+    @pytest.mark.parametrize(
+        "spec,f_max",
+        [
+            ("rectangular", 20.0),
+            ("hann", 20.0),
+            ("kaiser:alpha=2.546", 50.0),
+            ("poisson", 20.0),
+            ("exp:poly:m=2.0,n=2.0", 500.0),
+        ],
+    )
+    def test_matches_loop_reference(self, spec, f_max):
+        # most minima of exp:poly below 500 Hz are round-off, some at -inf dB
+        s = spectrum_fft(sample(parse_window_spec(spec), 8192), 128, f_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = segment_lobes(s)
+        for got, want in zip((seg.nulls, seg.peak_freqs, seg.peak_db), _segment_loop(s)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_plateau_peak_takes_first_index(self):
+        # minima at 2 and 7; the plateau at 3..5 is refined from index 3,
+        # whose vertex lies half a bin to the right
+        s = _hand_spectrum([1.0, 0.5, 0.1, 0.3, 0.3, 0.3, 0.2, 0.05, 0.4])
+        seg = segment_lobes(s)
+        assert seg.peak_freqs.tolist() == [s.frequencies[3] + 0.5 * s.df]
+
+    def test_zero_magnitude_neighbours_keep_grid_point(self):
+        # exact zeros at 2 and 4 put -inf dB on both sides of the peak
+        s = _hand_spectrum([1.0, 0.5, 0.0, 0.3, 0.0, 0.4, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = segment_lobes(s)
+        assert seg.peak_freqs.tolist() == [s.frequencies[3]]
+        assert seg.peak_db.tolist() == [s.db[3]]
+        assert seg.nulls.size == 2 and np.all(np.isfinite(seg.nulls))
+
+    def test_single_null_gives_empty_peaks(self):
+        seg = segment_lobes(_hand_spectrum([1.0, 0.5, 0.1, 0.3, 0.4]))
+        assert seg.nulls.size == 1
+        for arr in (seg.peak_freqs, seg.peak_db):
+            assert arr.dtype == np.float64 and arr.size == 0
 
     def test_coarse_grid_rejected(self):
         s = spectrum_fft(sample(catalog("hann"), 8192), 16, 10.0)
         with pytest.raises(ValueError):
-            segment_lobes(s, 10.0)
+            segment_lobes(s)
 
 
 class TestApplyWindow:
@@ -177,8 +257,8 @@ class TestApplyWindow:
         n = 1024
         x = np.cos(2 * np.pi * 10 * np.arange(n) / n)
         y = apply_window(x, catalog("hann"))
-        s = spectrum_fft(SampledWindow(values=y, n_samples=n), 128, 20.0)
-        seg = segment_lobes(s, 20.0)
+        s = spectrum_fft(SampledWindow(values=y), 128, 20.0)
+        seg = segment_lobes(s)
         peak_bin = int(np.argmax(s.magnitudes))
         assert s.frequencies[peak_bin] == pytest.approx(10.0, abs=0.01)
         lower = seg.nulls[np.argmin(np.abs(seg.nulls - 8.0))]
