@@ -19,7 +19,6 @@ from .windows import (
     BadParameterError,
     CatalogWindow,
     ExpKernelWindow,
-    SampledWindow,
     WindowDef,
     catalog,
     catalog_eval,
@@ -31,7 +30,6 @@ from .spectrum import (
     LobeSegmentation,
     NoNullsFoundError,
     Spectrum,
-    apply_window,
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,

@@ -42,9 +42,8 @@ def cmd_list(args, out) -> int:
 
 def cmd_sample(args, out) -> int:
     wdef = parse_window_spec(args.spec)
-    w = sample(wdef, args.n)
     rows = ["t,w"]
-    for k, v in enumerate(w.values):
+    for k, v in enumerate(sample(wdef, args.n)):
         rows.append(f"{_fmt(k / args.n)},{_fmt(v)}")
     out.write("\n".join(rows) + "\n")
     return 0
@@ -55,7 +54,8 @@ def cmd_spectrum(args, out) -> int:
     if args.method == "fft":
         s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
     else:
-        s = spectrum_quadrature(wdef, _band_grid(args.fmax, args.pad))
+        grid = _band_grid(args.fmax, args.pad)
+        s = spectrum_quadrature(wdef, grid[-1], grid.size)
     rows = ["f_hz,abs,db"]
     for f, a, d in zip(s.frequencies, s.magnitudes, s.db):
         rows.append(f"{_fmt(f)},{_fmt(a)},{_fmt(d)}")

@@ -20,6 +20,11 @@ from .spectrum import (
 from .windows import WindowDef, sample, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
+N_SAMPLES = 8192          # samples of the one-second record
+PAD_FACTOR = 128          # spectrum bins per Hz
+F_MAX = 500.0             # Hz, top of the spectrum that is segmented
+DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
+HALF_WIDTH_GRID = 8193    # points of the scan for the sqrt(2)/2 crossings
 
 
 class InsufficientLobesError(RuntimeError):
@@ -49,7 +54,7 @@ class MetricsReport:
 
 def main_lobe_width(seg: LobeSegmentation) -> float:
     """Half main-lobe width: the first spectral null, in Hz."""
-    return seg.main_lobe_edge
+    return float(seg.nulls[0])
 
 
 def energy_leakage(wdef: WindowDef, omega0_hz: float, f_step: float = 0.005) -> float:
@@ -62,8 +67,7 @@ def energy_leakage(wdef: WindowDef, omega0_hz: float, f_step: float = 0.005) -> 
     panels = int(math.ceil(omega0_hz / f_step))
     panels += panels % 2
     panels = max(panels, 2)
-    f_nodes = np.linspace(0.0, omega0_hz, panels + 1)
-    spec = spectrum_quadrature(wdef, f_nodes)
+    spec = spectrum_quadrature(wdef, omega0_hz, panels + 1)
     lobe_energy = 2.0 * omega0_hz * float(np.dot(_simpson_weights(panels), spec.magnitudes ** 2))
 
     tp = 2 ** 15
@@ -81,17 +85,17 @@ def first_sidelobe(seg: LobeSegmentation) -> tuple:
     return float(seg.peak_db[0]), float(seg.nulls[1] - seg.nulls[0])
 
 
-def decay_scale(seg: LobeSegmentation, threshold_db: float = -60.0) -> float:
-    """Characteristic frequency where sidelobe leakage drops below threshold.
+def decay_scale(seg: LobeSegmentation) -> float:
+    """Characteristic frequency where sidelobe leakage drops below -60 dB.
 
     Returns the frequency of the first sidelobe peak whose height falls
-    below threshold_db: the point where leakage amplitude has decayed to
-    1/1000 of the main lobe for the default -60 dB threshold.
+    below DECAY_THRESHOLD_DB: the point where leakage amplitude has
+    decayed to 1/1000 of the main lobe.
     """
-    below = seg.peak_db < threshold_db
+    below = seg.peak_db < DECAY_THRESHOLD_DB
     if not below.any():
         raise NotConvergedError(
-            f"no sidelobe peak falls below {threshold_db} dB"
+            f"no sidelobe peak falls below {DECAY_THRESHOLD_DB} dB"
             f" up to the last null at {seg.nulls[-1]:g} Hz"
         )
     first = int(np.argmax(below))
@@ -111,21 +115,21 @@ def _bisect_crossing(wdef: WindowDef, lo: float, hi: float, tol: float = 1e-8) -
     return 0.5 * (lo + hi)
 
 
-def half_width_numeric(wdef: WindowDef, grid_points: int = 8193) -> float:
+def half_width_numeric(wdef: WindowDef) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
     Catalog and reconstructed windows are unimodal or flat-topped, so
     the super-level set is a single interval; its edges are located by
     bisection.
     """
-    t = np.linspace(0.0, 1.0, grid_points)
+    t = np.linspace(0.0, 1.0, HALF_WIDTH_GRID)
     vals = np.asarray(window_eval(wdef, t), dtype=float)
     above = vals >= HALF_AMPLITUDE
     idx = np.nonzero(above)[0]
     if idx.size == 0:
         return 0.0
     left = 0.0 if idx[0] == 0 else _bisect_crossing(wdef, t[idx[0] - 1], t[idx[0]])
-    right = 1.0 if idx[-1] == grid_points - 1 else _bisect_crossing(wdef, t[idx[-1]], t[idx[-1] + 1])
+    right = 1.0 if idx[-1] == t.size - 1 else _bisect_crossing(wdef, t[idx[-1]], t[idx[-1] + 1])
     return float(10.0 * (right - left))
 
 
@@ -140,17 +144,10 @@ def half_width_analytic(n: float) -> float:
     return 10.0 * math.sqrt(1.0 - 4.0 * s)
 
 
-def full_report(
-    wdef: WindowDef,
-    n_samples: int = 8192,
-    pad_factor: int = 128,
-    f_max: float = 500.0,
-    label: str = None,
-) -> MetricsReport:
+def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
     """Run the whole pipeline for one window."""
     try:
-        w = sample(wdef, n_samples)
-        spec = spectrum_fft(w, pad_factor=pad_factor, f_max=f_max)
+        spec = spectrum_fft(sample(wdef, N_SAMPLES), pad_factor=PAD_FACTOR, f_max=F_MAX)
         seg = segment_lobes(spec)
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)

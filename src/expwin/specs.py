@@ -11,6 +11,7 @@ Grammar::
 """
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from .kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel
@@ -29,9 +30,12 @@ def _parse_params(text: str, context: str) -> Tuple[Tuple[str, float], ...]:
         key, _, val = item.partition("=")
         key = key.strip()
         try:
-            params.append((key, float(val)))
+            value = float(val)
         except ValueError:
             raise SpecParseError(f"non-numeric value {val!r} for {key!r} in {context!r}") from None
+        if not math.isfinite(value):
+            raise SpecParseError(f"non-finite value {val!r} for {key!r} in {context!r}")
+        params.append((key, value))
     return tuple(sorted(params))
 
 

@@ -4,16 +4,16 @@ The transform convention is Fhat(f) = integral_0^1 exp(2*pi*i*f*t) W(t) dt
 with frequencies in Hz.  Two independent evaluation paths are provided:
 a Riemann sum over the sampled window, and composite-Simpson quadrature
 of the defining integral (the oracle for the sampled path).  Both
-evaluate a uniform frequency band with one chirp-z transform.
+evaluate an evenly spaced band that starts at 0 Hz with one chirp-z
+transform.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .windows import SampledWindow, WindowDef, sample, window_eval
+from .windows import WindowDef, window_eval
 
 
 class NoNullsFoundError(RuntimeError):
@@ -22,7 +22,11 @@ class NoNullsFoundError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Complex spectrum on a non-negative frequency grid (Hz)."""
+    """Complex spectrum on an evenly spaced band from 0 Hz.
+
+    dB values are relative to the f=0 amplitude, so a zero or
+    non-finite DC value raises ValueError.
+    """
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
@@ -30,6 +34,8 @@ class Spectrum:
 
     def __post_init__(self):
         mag = np.abs(self.amplitudes)
+        if not (np.isfinite(mag[0]) and mag[0] > 0.0):
+            raise ValueError(f"DC value |W^(0)| = {mag[0]:g} is zero or not finite; dB levels are undefined")
         with np.errstate(divide="ignore"):
             self.db = 20.0 * np.log10(mag / mag[0])
         self.db[0] = 0.0
@@ -51,10 +57,6 @@ class LobeSegmentation:
     peak_freqs: np.ndarray         # Hz, peak i lies between nulls i and i+1
     peak_db: np.ndarray            # dB relative to the f=0 amplitude
 
-    @property
-    def main_lobe_edge(self) -> float:
-        return float(self.nulls[0])
-
 
 def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
     """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = 0..m-1.
@@ -63,11 +65,19 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
     a = dt*df, done by power-of-two FFTs.  The chirp phase a*k^2 is
     reduced mod 2 before multiplying by pi, so it stays exact whenever
-    a is a power of two.
+    a is a power of two; otherwise its absolute error grows with a*k^2,
+    which is why values above 2^24 raise ValueError.
     """
     n = g.size
+    k_max = max(n, m)
+    phase_max = dt * df * k_max ** 2
+    if phase_max > 2.0 ** 24:
+        raise ValueError(
+            f"band too sparse for the chirp-z phase: dt*df*max(n,m)^2 = {phase_max:.3g} > 2^24;"
+            " use more frequencies or a lower f_max"
+        )
     size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
-    k2 = np.arange(max(n, m), dtype=float) ** 2
+    k2 = np.arange(k_max, dtype=float) ** 2
     chirp = np.exp(1j * np.pi * np.fmod(dt * df * k2, 2.0))
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
@@ -86,19 +96,20 @@ def _band_grid(f_max: float, pad_factor: int) -> np.ndarray:
     return freqs[freqs <= f_max + 1e-12]
 
 
-def spectrum_fft(w: SampledWindow, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
-    """Spectrum of the sample record on the grid k/pad_factor Hz up to f_max.
+def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
+    """Spectrum of the samples W(k/N), k < N, on the grid k/pad_factor Hz up to f_max.
 
-    The Riemann sum dt * sum_k W(k dt) exp(2 pi i f k dt) is evaluated
-    at exactly the requested bins, for any sample count; the f=0 bin
-    approximates integral of W.  Raises ValueError for f_max outside
-    [0, Nyquist], where the bins would alias.
+    The Riemann sum dt * sum_k W(k dt) exp(2 pi i f k dt), dt = 1/N, is
+    evaluated at exactly the requested bins, for any sample count; the
+    f=0 bin approximates integral of W.  Raises ValueError for f_max
+    outside [0, Nyquist], where the bins would alias.
     """
-    nyquist = 0.5 / w.dt
+    dt = 1.0 / values.size
+    nyquist = 0.5 / dt
     if f_max > nyquist:
         raise ValueError(f"f_max must be in [0, {nyquist:g}] Hz (Nyquist), got {f_max:g}")
     freqs = _band_grid(f_max, pad_factor)
-    amps = _band_dft(w.values, w.dt, 1.0 / pad_factor, freqs.size) * w.dt
+    amps = _band_dft(values, dt, 1.0 / pad_factor, freqs.size) * dt
     return Spectrum(frequencies=freqs, amplitudes=amps)
 
 
@@ -109,37 +120,25 @@ def _simpson_weights(panels: int) -> np.ndarray:
     return w / (3.0 * panels)
 
 
-def spectrum_quadrature(wdef: WindowDef, f_grid: Sequence[float]) -> Spectrum:
-    """Spectrum by composite Simpson quadrature of the defining integral.
+def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
+    """Spectrum at m evenly spaced frequencies from 0 to f_max Hz.
 
-    Independent of the sampled path: the window is re-evaluated on a
-    dense quadrature grid that includes t = 1, with 64 panels per Hz of
-    the highest frequency and at least 2^15; frequencies above 32768 Hz
-    (2^21 panels) raise ValueError.  A uniform frequency grid
-    goes through the chirp-z band transform (exp(2 pi i f0 t) folded into
-    the integrand for a grid starting at f0); any other grid is summed
-    directly, one frequency at a time.
+    Composite Simpson quadrature of the defining integral, independent
+    of the sampled path: the window is re-evaluated on a dense grid that
+    includes t = 1, with 64 panels per Hz of f_max and at least 2^15;
+    f_max above 32768 Hz (2^21 panels) raises ValueError.
     """
-    f = np.asarray(f_grid, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("f_grid must be a non-empty 1-D sequence")
-    steps = np.diff(f)
-    if np.any(steps < 0) or np.any(f < 0):
-        raise ValueError("f_grid must be sorted and non-negative")
-    if f[-1] > 32768.0:
-        raise ValueError(f"quadrature is limited to 32768 Hz, got {f[-1]:g} Hz")
-    panels = max(2 ** 15, int(np.ceil(64.0 * f[-1])))
+    if m < 1 or f_max < 0.0:
+        raise ValueError(f"need m >= 1 frequencies and f_max >= 0 Hz, got {m} and {f_max:g}")
+    if f_max > 32768.0:
+        raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:g} Hz")
+    panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
     panels += panels % 2
 
     t = np.linspace(0.0, 1.0, panels + 1)
     g = _simpson_weights(panels) * np.asarray(window_eval(wdef, t), dtype=float)
-
-    if f.size > 2 and np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
-        df = (f[-1] - f[0]) / (f.size - 1)
-        amps = _band_dft(g * np.exp(2j * np.pi * f[0] * t), 1.0 / panels, df, f.size)
-    else:
-        amps = np.array([np.dot(g, np.exp(2j * np.pi * fj * t)) for fj in f])
-    return Spectrum(frequencies=f, amplitudes=amps)
+    amps = _band_dft(g, 1.0 / panels, f_max / max(m - 1, 1), m)
+    return Spectrum(frequencies=np.linspace(0.0, f_max, m), amplitudes=amps)
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):
@@ -189,10 +188,3 @@ def segment_lobes(s: Spectrum) -> LobeSegmentation:
     peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, db[k - 1], db[k], db[k + 1])
     return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db)
 
-
-def apply_window(signal: Sequence[float], wdef: WindowDef) -> np.ndarray:
-    """Modulate a signal sampled on t_k = k/N by the window."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.size < 16:
-        raise ValueError("signal must be 1-D with at least 16 samples")
-    return x * sample(wdef, x.size).values

@@ -209,21 +209,9 @@ def window_eval(wdef: WindowDef, t):
     raise TypeError(f"unknown window definition: {wdef!r}")
 
 
-@dataclass(frozen=True)
-class SampledWindow:
-    """Uniform samples W(k/N), k = 0..N-1, over a one-second record."""
-
-    values: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.values.size
-
-
-def sample(wdef: WindowDef, n_samples: int) -> SampledWindow:
-    """Sample a window on the grid t_k = k/n_samples."""
+def sample(wdef: WindowDef, n_samples: int) -> np.ndarray:
+    """Sample a window on the grid t_k = k/n_samples, k = 0..n_samples-1."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     t = np.arange(n_samples) / n_samples
-    values = np.asarray(window_eval(wdef, t), dtype=float)
-    return SampledWindow(values=values)
+    return np.asarray(window_eval(wdef, t), dtype=float)

@@ -163,6 +163,35 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.count("\n") == 1 + 6401
 
+    def test_one_bin_quad_band(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "hann", "--fmax", "0.005", "--method", "quad")
+        assert code == 0
+        assert out == "f_hz,abs,db\n0,0.5,0\n"
+
+    def test_zero_dc_fails(self, capsys):
+        # every sample underflows to 0, so no dB level is defined
+        code, out, err = run_cli(capsys, "spectrum", "exp:poly:m=50,n=51")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "DC" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "kaiser:alpha=inf"),
+            ("spectrum", "cauchy_lorentz:gamma=inf"),
+            ("spectrum", "gaussian:sigma=nan"),
+            ("metrics", "exp:sine:c=inf"),
+            ("metrics", "exp:poly:m=nan,n=1"),
+            ("sample", "exp:win:tukey:alpha=-inf"),
+        ],
+    )
+    def test_non_finite_parameter_fails(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+
 
 class TestMetricsCommand:
     def test_rectangular_json(self, capsys):

@@ -184,9 +184,10 @@ class TestFullReport:
         assert 0 < r.half_width_0p1s <= 10
 
     def test_error_carries_window_identity(self):
-        with pytest.raises(MetricsError, match="f_max"):
-            # no null below 1 Hz for the Hann window
-            full_report(catalog("hann"), f_max=1.0, label="f_max probe")
+        with pytest.raises(MetricsError, match="poisson probe"):
+            # the spectrum of this wrapped window has no local minimum
+            wdef = ExpKernelWindow(WrappedWindowKernel("poisson", (("tau", 0.05),)))
+            full_report(wdef, label="poisson probe")
 
 
 @pytest.fixture(scope="module")

@@ -105,19 +105,18 @@ class TestExpWindow:
 
 class TestSample:
     def test_rectangular(self):
-        assert sample(catalog("rectangular"), 4).values.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert sample(catalog("rectangular"), 4).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_sine_closed_form(self):
         w = sample(catalog("sine"), 4)
-        assert w.values == pytest.approx([0.0, math.sqrt(2) / 2, 1.0, math.sqrt(2) / 2], abs=1e-15)
-        assert w.dt == 0.25
+        assert w == pytest.approx([0.0, math.sqrt(2) / 2, 1.0, math.sqrt(2) / 2], abs=1e-15)
 
     def test_exp_poly_two_samples(self):
-        assert sample(ExpKernelWindow(PolynomialKernel(1, 1)), 2).values.tolist() == [0.0, 1.0]
+        assert sample(ExpKernelWindow(PolynomialKernel(1, 1)), 2).tolist() == [0.0, 1.0]
 
     def test_values_in_unit_range(self):
         for wid in CATALOG:
-            v = sample(catalog(wid), 64).values
+            v = sample(catalog(wid), 64)
             assert np.all(np.isfinite(v))
             assert np.all((v >= 0.0) & (v <= 1.0))
 
