@@ -48,6 +48,6 @@ from .metrics import (
     main_lobe_width,
 )
 from .specs import SpecParseError, format_window_spec, parse_window_spec
-from .table import TABLE_ROWS, TableRow, compute_table
+from .table import TABLE_ROWS, compute_table
 
 __version__ = "0.1.0"

@@ -4,25 +4,34 @@ Subcommands: ``list``, ``sample``, ``spectrum``, ``metrics``, ``table``.
 Column data is CSV (header row, LF endings, '.' decimal separator);
 metrics are a single JSON object.  Output is deterministic: identical
 invocations produce byte-identical bytes.
+
+Handlers return their whole output; ``main`` writes it to stdout or
+``--out`` only on success.  Every failure, a ``table`` row included,
+exits 1 with ``error: <message>`` on stderr and leaves ``--out`` as it was.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
+
+import numpy as np
 
 from .spectrum import _band_grid, spectrum_fft, spectrum_quadrature
 from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
-from .metrics import full_report
+from .metrics import MetricsReport, full_report
 from .windows import CATALOG, sample
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header line, then row k holds element k of every column as "{:.12g}"."""
+    cells = [[f"{x:.12g}" for x in c.tolist()] for c in columns]
+    return "\n".join([header] + [",".join(row) for row in zip(*cells)]) + "\n"
 
 
-def cmd_list(args, out) -> int:
+def cmd_list(args) -> str:
     lines = ["Comparison-table rows (label | spec):"]
     for label, spec in TABLE_ROWS:
         lines.append(f"  {label:22s} {spec}")
@@ -36,90 +45,53 @@ def cmd_list(args, out) -> int:
     lines.append("  exp:poly:m=<r>,n=<r>   kernel t^m (1-t)^n")
     lines.append("  exp:sine:c=<r>         kernel c sin(pi t)")
     lines.append("  exp:win:<catalog-spec> kernel = catalog window")
-    out.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_sample(args, out) -> int:
-    wdef = parse_window_spec(args.spec)
-    rows = ["t,w"]
-    for k, v in enumerate(sample(wdef, args.n)):
-        rows.append(f"{_fmt(k / args.n)},{_fmt(v)}")
-    out.write("\n".join(rows) + "\n")
-    return 0
+def cmd_sample(args) -> str:
+    w = sample(parse_window_spec(args.spec), args.n)
+    return _csv("t,w", np.arange(args.n) / args.n, w)
 
 
-def cmd_spectrum(args, out) -> int:
+def cmd_spectrum(args) -> str:
     wdef = parse_window_spec(args.spec)
     if args.method == "fft":
         s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
     else:
         grid = _band_grid(args.fmax, args.pad)
         s = spectrum_quadrature(wdef, grid[-1], grid.size)
-    rows = ["f_hz,abs,db"]
-    for f, a, d in zip(s.frequencies, s.magnitudes, s.db):
-        rows.append(f"{_fmt(f)},{_fmt(a)},{_fmt(d)}")
-    out.write("\n".join(rows) + "\n")
-    return 0
+    return _csv("f_hz,abs,db", s.frequencies, s.magnitudes, s.db)
 
 
-def cmd_metrics(args, out) -> int:
+def cmd_metrics(args) -> str:
     wdef = parse_window_spec(args.spec)
     report = full_report(wdef, label=args.spec)
     payload = {"window": format_window_spec(wdef)}
     payload.update(report.as_dict())
-    out.write(json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-TABLE_COLUMNS = [
-    "window",
-    "spec",
-    "omega0_hz",
-    "leakage_pct",
-    "sidelobe_db",
-    "sidelobe_width_hz",
-    "decay_scale_hz",
-    "half_width_0p1s",
-]
+TABLE_COLUMNS = ["window", "spec"] + [f.name for f in fields(MetricsReport)]
 
 
-def cmd_table(args, out) -> int:
-    rows = compute_table()
-    failed = False
-    rendered = []
-    for row in rows:
-        if row.report is None:
-            failed = True
-            rendered.append([row.label, row.spec, f"ERROR: {row.error}"] + [""] * 5)
-            continue
-        r = row.report
-        # sidelobe printed as a positive magnitude, matching the table's
-        # sign convention; the JSON metrics command keeps it signed.
-        rendered.append(
-            [
-                row.label,
-                row.spec,
-                f"{r.omega0_hz:.2f}",
-                f"{r.leakage_pct:.2f}",
-                f"{-r.sidelobe_db:.1f}",
-                f"{r.sidelobe_width_hz:.2f}",
-                f"{r.decay_scale_hz:.2f}",
-                f"{r.half_width_0p1s:.2f}",
-            ]
-        )
+def cmd_table(args) -> str:
+    # sidelobe printed as a positive magnitude, matching the table's sign
+    # convention; the JSON metrics command keeps it signed.
+    rendered = [
+        [label, spec, f"{r.omega0_hz:.2f}", f"{r.leakage_pct:.2f}", f"{-r.sidelobe_db:.1f}",
+         f"{r.sidelobe_width_hz:.2f}", f"{r.decay_scale_hz:.2f}", f"{r.half_width_0p1s:.2f}"]
+        for (label, spec), r in zip(TABLE_ROWS, compute_table(), strict=True)
+    ]
     if args.format == "csv":
         lines = [",".join(TABLE_COLUMNS)]
         lines += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rendered]
-        out.write("\n".join(lines) + "\n")
     else:
         widths = [max(len(r[i]) for r in rendered + [TABLE_COLUMNS]) for i in range(len(TABLE_COLUMNS))]
         def fmt_row(cells):
             return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
         lines = [fmt_row(TABLE_COLUMNS), fmt_row(["-" * w for w in widths])]
         lines += [fmt_row(r) for r in rendered]
-        out.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,13 +138,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_path = getattr(args, "out", None)
     try:
+        text = _HANDLERS[args.command](args)
         if out_path:
             with open(out_path, "w", newline="\n") as fh:
-                return _HANDLERS[args.command](args, fh)
-        return _HANDLERS[args.command](args, sys.stdout)
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -90,8 +90,10 @@ def _band_grid(f_max: float, pad_factor: int) -> np.ndarray:
     """The grid k/pad_factor Hz, k >= 0, up to f_max (1e-12 Hz slack)."""
     if pad_factor < 2:
         raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
-    if f_max < 0.0:
+    if not f_max >= 0.0:
         raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
+    if not np.isfinite(f_max):
+        raise ValueError(f"f_max must be finite, got {f_max:g}")
     freqs = np.arange(int(f_max * pad_factor) + 2) / pad_factor
     return freqs[freqs <= f_max + 1e-12]
 
@@ -128,8 +130,8 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     includes t = 1, with 64 panels per Hz of f_max and at least 2^15;
     f_max above 32768 Hz (2^21 panels) raises ValueError.
     """
-    if m < 1 or f_max < 0.0:
-        raise ValueError(f"need m >= 1 frequencies and f_max >= 0 Hz, got {m} and {f_max:g}")
+    if m < 1 or not 0.0 <= f_max < np.inf:
+        raise ValueError(f"need m >= 1 frequencies and a finite f_max >= 0 Hz, got {m} and {f_max:g}")
     if f_max > 32768.0:
         raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:g} Hz")
     panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
@@ -166,6 +168,8 @@ def segment_lobes(s: Spectrum) -> LobeSegmentation:
     largest grid magnitude strictly between consecutive nulls, refined
     on the dB values.  The whole grid of ``s`` is segmented.
     """
+    if s.frequencies.size < 3:
+        raise NoNullsFoundError(f"a spectrum of {s.frequencies.size} bins has no local minimum")
     if s.df > 0.02 + 1e-12:
         raise ValueError(f"grid spacing {s.df} Hz too coarse for segmentation")
     freqs, mag, db, h = s.frequencies, s.magnitudes, s.db, s.df

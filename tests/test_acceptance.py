@@ -78,12 +78,8 @@ def table():
 def test_criterion_1_table_reproduction(table):
     rows, elapsed = table
     failures = []
-    for row in rows:
-        exp = EXPECTED_TABLE[row.label]
-        if row.report is None:
-            failures.append(f"{row.label}: {row.error}")
-            continue
-        r = row.report
+    for (label, _), r in zip(TABLE_ROWS, rows):
+        exp = EXPECTED_TABLE[label]
         got = (
             r.omega0_hz,
             r.leakage_pct,
@@ -92,7 +88,7 @@ def test_criterion_1_table_reproduction(table):
             r.decay_scale_hz,
             r.half_width_0p1s,
         )
-        sw_tol = 0.1 if row.label == "Poisson tau=0.5" else 0.05
+        sw_tol = 0.1 if label == "Poisson tau=0.5" else 0.05
         tols = (0.03, 0.15, 0.5, sw_tol, 0.05 * exp[4], 0.03)
         for name, g, e, tol in zip(
             ("omega0", "leakage", "sidelobe", "sidelobe_width", "decay", "half_width"),
@@ -101,7 +97,7 @@ def test_criterion_1_table_reproduction(table):
             tols,
         ):
             if abs(g - e) > tol:
-                failures.append(f"{row.label}.{name}: got {g:.4f}, expected {e} +/- {tol:.3g}")
+                failures.append(f"{label}.{name}: got {g:.4f}, expected {e} +/- {tol:.3g}")
     if elapsed >= 60.0:
         failures.append(f"table runtime {elapsed:.1f}s >= 60s")
     _report(
@@ -199,7 +195,7 @@ def test_criterion_6_property_suite(table):
         if np.max(np.abs(exp_window_eval(ScaledSineKernel(c), t) - base ** (1.0 / c))) > 1e-12:
             failures.append(f"coefficient-power c={c}")
 
-    by_label = {row.label: row.report for row in rows}
+    by_label = {label: r for (label, _), r in zip(TABLE_ROWS, rows)}
     omega = [by_label[f"Exp poly n={n}"].omega0_hz for n in POLY_EXPONENTS]
     delta = [by_label[f"Exp poly n={n}"].half_width_0p1s for n in POLY_EXPONENTS]
     if not all(a < b for a, b in zip(omega, omega[1:])):

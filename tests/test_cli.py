@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,11 +7,48 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from expwin import table
 from expwin.cli import main
 from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel
+from expwin.metrics import MetricsError
 from expwin.specs import SpecParseError, format_window_spec, parse_window_spec
 from expwin.table import TABLE_ROWS
 from expwin.windows import CatalogWindow, ExpKernelWindow, catalog
+
+# `expwin table --format csv`, byte for byte.  A change that moves a cell
+# updates this text and names the cell in CHANGES.md.
+TABLE_CSV = """\
+window,spec,omega0_hz,leakage_pct,sidelobe_db,sidelobe_width_hz,decay_scale_hz,half_width_0p1s
+Exp[Welch],exp:win:welch,1.59,1.01,20.1,1.24,11.23,5.07
+Exp[Sine],exp:win:sine,1.69,0.76,21.2,1.27,10.38,4.67
+Exp[sin(pi t)/2],exp:sine:c=0.5,2.13,0.22,25.8,1.39,7.79,3.50
+Exp[2 sin(pi t)],exp:sine:c=2.0,1.43,1.74,18.2,1.19,14.04,5.98
+Exp[Hann],exp:win:hann,2.26,0.40,23.5,1.62,10.14,3.39
+Exp[Kaiser a=8/pi],exp:win:kaiser:alpha=2.5464790894703255,2.71,0.25,25.4,1.86,10.02,2.79
+Exp[Tukey a=0.5],exp:win:tukey:alpha=0.5,1.40,4.87,14.3,1.39,13.24,6.69
+Exp poly n=0.1,"exp:poly:m=0.1,n=0.1",1.06,6.51,14.4,1.01,140.61,9.64
+Exp poly n=0.25,"exp:poly:m=0.25,n=0.25",1.19,3.11,16.5,1.04,37.94,7.64
+Exp poly n=0.5,"exp:poly:m=0.5,n=0.5",1.52,0.89,20.7,1.14,12.67,5.23
+Exp poly n=1.0,"exp:poly:m=1.0,n=1.0",2.61,0.06,30.5,1.48,7.28,2.82
+Exp poly n=1.5,"exp:poly:m=1.5,n=1.5",4.68,0.00,44.2,1.98,7.24,1.67
+Exp poly n=2.0,"exp:poly:m=2.0,n=2.0",8.70,0.00,65.5,2.65,9.37,1.03
+Rectangular,rectangular,1.00,9.72,13.3,1.00,319.50,10.00
+Triangular,triangular,2.00,0.29,26.5,2.00,20.98,2.93
+Welch,welch,1.43,0.79,21.3,1.03,17.98,5.41
+Sine,sine,1.50,0.51,23.0,1.00,15.99,5.00
+Hann,hann,2.00,0.05,31.5,1.00,7.46,3.64
+Hamming,hamming,2.00,0.04,44.0,0.60,47.50,3.82
+Gaussian s=0.5,gaussian:sigma=0.5,1.11,4.48,16.5,0.94,226.50,8.33
+Cauchy-Lorentz g=0.5,cauchy_lorentz:gamma=0.5,1.18,2.94,19.0,0.86,203.50,6.44
+Poisson tau=0.5,poisson:tau=0.5,1.30,2.19,25.5,0.61,185.50,3.47
+Kaiser a=8/pi,kaiser:alpha=2.5464790894703255,2.74,0.00,58.7,0.50,3.54,3.01
+Tukey a=0.3,tukey:alpha=0.3,1.18,6.16,13.8,1.18,9.67,8.09
+Tukey a=0.5,tukey:alpha=0.5,1.33,3.75,15.1,1.33,9.62,6.82
+Tukey a=0.7,tukey:alpha=0.7,1.54,1.62,18.2,1.54,4.44,5.55
+Planck-taper e=0.15,planck_taper:epsilon=0.15,1.18,6.96,13.6,1.18,12.97,8.18
+Planck-taper e=0.25,planck_taper:epsilon=0.25,1.33,4.92,14.3,1.33,7.90,6.97
+Planck-taper e=0.35,planck_taper:epsilon=0.35,1.54,2.86,16.0,1.54,9.62,5.76
+"""
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +197,20 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("error: ") and "Nyquist" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--fmax", "nan"),
+            ("--fmax", "nan", "--method", "quad"),
+            ("--fmax", "inf", "--method", "quad"),
+        ],
+    )
+    def test_non_finite_fmax_fails(self, capsys, extra):
+        code, out, err = run_cli(capsys, "spectrum", "hann", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: f_max ")
+
     def test_wrapped_planck_taper(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "exp:win:planck_taper:epsilon=0.1")
         assert code == 0
@@ -232,6 +285,15 @@ class TestMetricsCommand:
         assert code == 0
         assert json.loads(out)["window"] == "exp:win:planck_taper"
 
+    def test_failure_leaves_out_file_untouched(self, tmp_path, capsys):
+        path = tmp_path / "o.json"
+        path.write_text('{"good": 1}')
+        code, out, err = run_cli(capsys, "metrics", "bogus", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert path.read_text() == '{"good": 1}'
+
 
 @pytest.fixture(scope="module")
 def table_csv():
@@ -267,6 +329,30 @@ class TestTableCommand:
         assert code == 0
         assert out.startswith("| window")
         assert "| Rectangular" in out
+
+    def test_csv_bytes_pinned(self, table_csv):
+        code, out = table_csv
+        assert code == 0
+        assert out == TABLE_CSV
+
+    def test_markdown_cells_match_pinned_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--format", "markdown")
+        assert code == 0
+        lines = out.split("\n")
+        assert lines[-1] == "" and set(lines[1]) <= set("|- ")
+        cells = [[c.strip() for c in l[1:-1].split("|")] for l in lines[:1] + lines[2:-1]]
+        assert cells == list(csv.reader(io.StringIO(TABLE_CSV)))
+
+    def test_failing_row_is_an_ordinary_error(self, capsys, monkeypatch):
+        # exp:win:poisson:tau=0.05 has no spectral local minimum below 500 Hz
+        bad = ("Bad", "exp:win:poisson:tau=0.05")
+        monkeypatch.setattr(table, "TABLE_ROWS", table.TABLE_ROWS + [bad])
+        code, out, err = run_cli(capsys, "table")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Bad: ")
+        with pytest.raises(MetricsError, match="^Bad: "):
+            table.compute_table()
 
 
 class TestDeterminism:

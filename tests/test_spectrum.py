@@ -220,6 +220,12 @@ class TestSegmentLobes:
         with pytest.raises(NoNullsFoundError):
             segment_lobes(s)  # below the first null at 2 Hz
 
+    @pytest.mark.parametrize("f_max", [0.0, 1.0 / 128])
+    def test_fewer_than_three_bins_raises(self, f_max):
+        s = spectrum_fft(sample(catalog("hann"), 8192), 128, f_max)
+        with pytest.raises(NoNullsFoundError, match="bins"):
+            segment_lobes(s)
+
     @pytest.mark.parametrize(
         "spec,f_max",
         [
