@@ -10,7 +10,6 @@ from .kernels import (
     KernelSpec,
     PolynomialKernel,
     ScaledSineKernel,
-    WrappedWindowKernel,
     kernel_eval,
     kernel_max,
 )

@@ -3,17 +3,19 @@
 A kernel is any function that is strictly positive on the open unit
 interval and approaches a non-negative limit at both endpoints; a value
 that underflows to exactly 0 in double precision is accepted and gives
-W = 0 there.  Three
-families are supported: two-exponent polynomials t^m (1-t)^n, scaled
-sines c*sin(pi*t), and wrapped catalog windows (the window itself acts
-as the kernel).
+W = 0 there.  Three families are supported: two-exponent polynomials
+t^m (1-t)^n, scaled sines c*sin(pi*t), and catalog windows
+(``windows.CatalogWindow``), where the window itself acts as the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .windows import CatalogWindow
 
 
 class InvalidKernelError(ValueError):
@@ -45,61 +47,46 @@ class ScaledSineKernel:
             raise InvalidKernelError(f"sine kernel requires c > 0, got c={self.c}")
 
 
-@dataclass(frozen=True)
-class WrappedWindowKernel:
-    """B(t) = W(t) for a catalog window, identified by id and parameters."""
-
-    window_id: str
-    params: Tuple[Tuple[str, float], ...] = ()
-
-    @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-
-KernelSpec = Union[PolynomialKernel, ScaledSineKernel, WrappedWindowKernel]
+KernelSpec = Union[PolynomialKernel, ScaledSineKernel, "CatalogWindow"]
 
 
 def kernel_eval(spec: KernelSpec, t):
-    """Evaluate B(t) for scalar or array ``t`` in [0, 1].
+    """Evaluate B(t) at ``t`` in [0, 1].
 
-    Endpoint values are the one-sided limits (0 for polynomial and
-    scaled-sine kernels).  Raises InvalidKernelError if the kernel is
-    negative or NaN at a requested interior point.
+    A scalar ``t`` gives a numpy float64, an array ``t`` an array of its
+    shape.  Endpoint values are the one-sided limits (0 for polynomial
+    and scaled-sine kernels).  Raises InvalidKernelError if the kernel
+    is negative or NaN at a requested interior point.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-
+    t = np.asarray(t, dtype=float)
+    interior = (t > 0.0) & (t < 1.0)
     if isinstance(spec, PolynomialKernel):
         # exp(m*ln t + n*ln(1-t)) keeps fractional exponents well defined;
         # the endpoints are mapped to the limit value 0.
-        out = np.zeros_like(t_arr)
-        interior = (t_arr > 0.0) & (t_arr < 1.0)
-        ti = t_arr[interior]
+        out = np.zeros_like(t)
+        ti = t[interior]
         out[interior] = np.exp(spec.m * np.log(ti) + spec.n * np.log1p(-ti))
     elif isinstance(spec, ScaledSineKernel):
-        out = spec.c * np.sin(np.pi * np.clip(t_arr, 0.0, 1.0))
-        out[(t_arr <= 0.0) | (t_arr >= 1.0)] = 0.0
-    elif isinstance(spec, WrappedWindowKernel):
-        from .windows import catalog_eval  # windows imports this module
-
-        out = catalog_eval(spec.window_id, spec.params_dict, t_arr)
+        out = np.asarray(spec.c * np.sin(np.pi * np.clip(t, 0.0, 1.0)))
+        out[(t <= 0.0) | (t >= 1.0)] = 0.0
     else:
-        raise TypeError(f"unknown kernel spec: {spec!r}")
+        from .windows import CatalogWindow, catalog_eval  # windows imports this module
 
-    interior = (t_arr > 0.0) & (t_arr < 1.0)
+        if not isinstance(spec, CatalogWindow):
+            raise TypeError(f"unknown kernel spec: {spec!r}")
+        out = catalog_eval(spec.window_id, spec.params_dict, t)
+
     if not np.all(out[interior] >= 0.0):
         raise InvalidKernelError(f"kernel {spec!r} is negative or NaN inside (0,1)")
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 def kernel_max(spec: KernelSpec) -> Tuple[float, float]:
     """Locate the maximum of B(t) on (0, 1).
 
     Returns ``(t_star, b_max)`` in closed form: t_star = m/(m+n) for
-    polynomial kernels, and 1/2 for scaled sines and wrapped catalog
-    windows, which are all symmetric about 1/2 and peak there.
+    polynomial kernels, and 1/2 for scaled sines and catalog windows,
+    which are all symmetric about 1/2 and peak there.
     """
     t_star = spec.m / (spec.m + spec.n) if isinstance(spec, PolynomialKernel) else 0.5
     b_max = kernel_eval(spec, t_star)

@@ -25,6 +25,7 @@ PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
 HALF_WIDTH_GRID = 8193    # points of the scan for the sqrt(2)/2 crossings
+LEAKAGE_STEP_HZ = 0.005   # Simpson panel width of the main-lobe energy integral
 
 
 class InsufficientLobesError(RuntimeError):
@@ -57,21 +58,21 @@ def main_lobe_width(seg: LobeSegmentation) -> float:
     return float(seg.nulls[0])
 
 
-def energy_leakage(wdef: WindowDef, omega0_hz: float, f_step: float = 0.005) -> float:
+def energy_leakage(wdef: WindowDef, omega0_hz: float) -> float:
     """Percentage of window energy outside the main lobe.
 
     Main-lobe energy is 2 * integral_0^omega0 |Fhat(f)|^2 df (the
     spectrum is conjugate-symmetric); by Parseval the total energy is
     integral_0^1 W(t)^2 dt.  Both integrals use composite Simpson.
     """
-    panels = int(math.ceil(omega0_hz / f_step))
+    panels = int(math.ceil(omega0_hz / LEAKAGE_STEP_HZ))
     panels += panels % 2
     panels = max(panels, 2)
     spec = spectrum_quadrature(wdef, omega0_hz, panels + 1)
     lobe_energy = 2.0 * omega0_hz * float(np.dot(_simpson_weights(panels), spec.magnitudes ** 2))
 
     tp = 2 ** 15
-    w2 = np.asarray(window_eval(wdef, np.linspace(0.0, 1.0, tp + 1)), dtype=float) ** 2
+    w2 = window_eval(wdef, np.linspace(0.0, 1.0, tp + 1)) ** 2
     total_energy = float(np.dot(_simpson_weights(tp), w2))
 
     leak = 100.0 * (1.0 - lobe_energy / total_energy)
@@ -123,7 +124,7 @@ def half_width_numeric(wdef: WindowDef) -> float:
     bisection.
     """
     t = np.linspace(0.0, 1.0, HALF_WIDTH_GRID)
-    vals = np.asarray(window_eval(wdef, t), dtype=float)
+    vals = window_eval(wdef, t)
     above = vals >= HALF_AMPLITUDE
     idx = np.nonzero(above)[0]
     if idx.size == 0:

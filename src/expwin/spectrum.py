@@ -138,7 +138,7 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     panels += panels % 2
 
     t = np.linspace(0.0, 1.0, panels + 1)
-    g = _simpson_weights(panels) * np.asarray(window_eval(wdef, t), dtype=float)
+    g = _simpson_weights(panels) * window_eval(wdef, t)
     amps = _band_dft(g, 1.0 / panels, f_max / max(m - 1, 1), m)
     return Spectrum(frequencies=np.linspace(0.0, f_max, m), amplitudes=amps)
 

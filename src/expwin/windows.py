@@ -130,31 +130,32 @@ CATALOG: Dict[str, tuple] = {
 
 
 def catalog_eval(window_id: str, params: Optional[Mapping[str, float]], t):
-    """Evaluate a catalog window at scalar or array ``t``.
+    """Evaluate a catalog window at ``t``.
 
     The formula value is returned on [0, 1]; outside the unit interval
-    the window is zero.
+    the window is zero.  A scalar ``t`` gives a numpy float64, an array
+    ``t`` an array of its shape.
     """
     if window_id not in CATALOG:
         raise BadParameterError(f"unknown window id: {window_id!r}")
     fn, defaults, _ = CATALOG[window_id]
-    p = dict(defaults)
-    if params:
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise BadParameterError(f"{window_id} does not take parameters {sorted(unknown)}")
-        p.update(params)
+    unknown = set(params or ()) - set(defaults)
+    if unknown:
+        raise BadParameterError(f"{window_id} does not take parameters {sorted(unknown)}")
+    p = {**defaults, **(params or {})}
 
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.asarray(fn(t_arr, p), dtype=float)
-    out[(t_arr < 0.0) | (t_arr > 1.0)] = 0.0
-    return float(out[0]) if scalar else out
+    t = np.asarray(t, dtype=float)
+    # Formulas see a 1-d array inside [0, 1]: a scalar t gets array arithmetic
+    # (numpy scalar ** and np.i0 differ in the last bit), and none overflows.
+    out = np.asarray(fn(np.clip(t, 0.0, 1.0).reshape(-1), p), dtype=float).reshape(t.shape)
+    out[(t < 0.0) | (t > 1.0)] = 0.0
+    return out[()]
 
 
 @dataclass(frozen=True)
 class CatalogWindow:
+    """A catalog window by id and sorted parameters; also the kernel of exp:win: windows."""
+
     window_id: str
     params: Tuple[Tuple[str, float], ...] = ()
 
@@ -181,27 +182,24 @@ def catalog(window_id: str, **params: float) -> CatalogWindow:
 def exp_window_eval(kernel: KernelSpec, t):
     """Exponential reconstruction W(t) = exp(1/B_max - 1/B(t)).
 
-    Zero outside (0, 1), wherever B(t) underflows to 0, and wherever the
-    exponent falls below the double-precision underflow threshold.
+    Zero outside (0, 1), wherever B(t) underflows to 0 or 1/B(t)
+    overflows, and wherever the exponent falls below the double-precision
+    underflow threshold.  A scalar ``t`` gives a numpy float64, an array
+    ``t`` an array of its shape.
     """
     _, b_max = kernel_max(kernel)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-
-    out = np.zeros_like(t_arr)
-    interior = (t_arr > 0.0) & (t_arr < 1.0)
-    b = kernel_eval(kernel, t_arr[interior])
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    with np.errstate(divide="ignore"):
-        exponent = 1.0 / b_max - 1.0 / b
-    vals = np.where(exponent < -_UNDERFLOW_EXPONENT, 0.0, np.exp(np.maximum(exponent, -_UNDERFLOW_EXPONENT)))
-    out[interior] = vals
-    return float(out[0]) if scalar else out
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    interior = (t > 0.0) & (t < 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        exponent = 1.0 / b_max - 1.0 / kernel_eval(kernel, t[interior])
+    out[interior] = np.where(exponent < -_UNDERFLOW_EXPONENT, 0.0, np.exp(exponent))
+    return out[()]
 
 
 def window_eval(wdef: WindowDef, t):
-    """Evaluate any WindowDef at scalar or array ``t``."""
+    """Evaluate any WindowDef at ``t``: a numpy float64 for a scalar
+    ``t``, an array of its shape for an array ``t``."""
     if isinstance(wdef, CatalogWindow):
         return catalog_eval(wdef.window_id, wdef.params_dict, t)
     if isinstance(wdef, ExpKernelWindow):
@@ -214,4 +212,4 @@ def sample(wdef: WindowDef, n_samples: int) -> np.ndarray:
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     t = np.arange(n_samples) / n_samples
-    return np.asarray(window_eval(wdef, t), dtype=float)
+    return window_eval(wdef, t)

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from expwin import table
 from expwin.cli import main
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel
+from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import MetricsError
 from expwin.specs import SpecParseError, format_window_spec, parse_window_spec
 from expwin.table import TABLE_ROWS
 from expwin.windows import CatalogWindow, ExpKernelWindow, catalog
+from strategies import catalog_windows, kernels
 
 # `expwin table --format csv`, byte for byte.  A change that moves a cell
 # updates this text and names the cell in CHANGES.md.
@@ -66,10 +67,10 @@ class TestSpecGrammar:
             ("kaiser:alpha=2.546", catalog("kaiser", alpha=2.546)),
             ("exp:poly:m=1.0,n=1.0", ExpKernelWindow(PolynomialKernel(1.0, 1.0))),
             ("exp:sine:c=2.0", ExpKernelWindow(ScaledSineKernel(2.0))),
-            ("exp:win:hann", ExpKernelWindow(WrappedWindowKernel("hann"))),
+            ("exp:win:hann", ExpKernelWindow(CatalogWindow("hann"))),
             (
                 "exp:win:tukey:alpha=0.5",
-                ExpKernelWindow(WrappedWindowKernel("tukey", (("alpha", 0.5),))),
+                ExpKernelWindow(CatalogWindow("tukey", (("alpha", 0.5),))),
             ),
         ],
     )
@@ -87,6 +88,10 @@ class TestSpecGrammar:
             "exp:poly:m=1,n=x",
             "exp:what:c=1",
             "exp:win:nosuch",
+            "tukey:alpha=0.3,alpha=0.7",
+            "exp:poly:m=1,m=2,n=1",
+            "exp:sine:c=1,c=2",
+            "exp:win:tukey:alpha=0.3,alpha=0.7",
         ],
     )
     def test_parse_errors_name_token(self, bad):
@@ -106,6 +111,25 @@ class TestSpecGrammar:
     def test_round_trip_poly(self, m, n):
         wdef = ExpKernelWindow(PolynomialKernel(m, n))
         assert parse_window_spec(format_window_spec(wdef)) == wdef
+
+    @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
+    def test_round_trip_every_constructor(self, wdef):
+        text = format_window_spec(wdef)
+        assert parse_window_spec(text) == wdef
+        assert format_window_spec(parse_window_spec(text)) == text
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (("metrics", "tukey:alpha=0.3,alpha=0.7"), "alpha"),
+            (("sample", "exp:poly:m=1,m=2,n=1"), "m"),
+        ],
+    )
+    def test_repeated_key_fails(self, capsys, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: repeated key {key!r} in ")
 
 
 class TestListCommand:

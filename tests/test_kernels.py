@@ -6,11 +6,10 @@ from expwin.kernels import (
     InvalidKernelError,
     PolynomialKernel,
     ScaledSineKernel,
-    WrappedWindowKernel,
     kernel_eval,
     kernel_max,
 )
-from expwin.windows import CATALOG
+from expwin.windows import CATALOG, CatalogWindow
 
 
 class TestKernelEval:
@@ -34,7 +33,7 @@ class TestKernelEval:
         assert kernel_eval(PolynomialKernel(0.7, 1.3), t) == pytest.approx(expect, rel=1e-13)
 
     def test_wrapped_window(self):
-        k = WrappedWindowKernel("hann")
+        k = CatalogWindow("hann")
         assert kernel_eval(k, 0.5) == pytest.approx(1.0, abs=1e-15)
         assert kernel_eval(k, 0.25) == pytest.approx(0.5, abs=1e-15)
 
@@ -53,7 +52,7 @@ class TestKernelEval:
             ScaledSineKernel(0.0)
 
     def test_endpoint_limits_nonnegative(self):
-        for k in (PolynomialKernel(0.3, 2.0), ScaledSineKernel(0.5), WrappedWindowKernel("welch")):
+        for k in (PolynomialKernel(0.3, 2.0), ScaledSineKernel(0.5), CatalogWindow("welch")):
             assert kernel_eval(k, 1e-9) >= 0.0
             assert kernel_eval(k, 1 - 1e-9) >= 0.0
 
@@ -75,12 +74,12 @@ class TestKernelMax:
         assert b_max == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_flat_top_plateau(self):
-        _, b_max = kernel_max(WrappedWindowKernel("tukey", (("alpha", 0.5),)))
+        _, b_max = kernel_max(CatalogWindow("tukey", (("alpha", 0.5),)))
         assert b_max == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("wid", sorted(CATALOG))
     def test_wrapped_catalog_peaks_at_midpoint(self, wid):
-        k = WrappedWindowKernel(wid)
+        k = CatalogWindow(wid)
         t_star, b_max = kernel_max(k)
         assert t_star == 0.5 and b_max == pytest.approx(1.0, abs=1e-15)
         assert np.all(kernel_eval(k, np.linspace(0, 1, 10001)) <= b_max)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, WrappedWindowKernel
+from expwin import metrics
+from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import (
     InsufficientLobesError,
     MetricsError,
@@ -17,7 +18,7 @@ from expwin.metrics import (
     main_lobe_width,
 )
 from expwin.spectrum import LobeSegmentation, segment_lobes, spectrum_fft
-from expwin.windows import CATALOG, ExpKernelWindow, catalog, sample
+from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, sample
 
 KAISER_ALPHA = 8 / math.pi
 
@@ -64,11 +65,12 @@ class TestEnergyLeakage:
         seg = _segment(wdef)
         assert energy_leakage(wdef, main_lobe_width(seg)) < 0.005
 
-    def test_grid_refinement_converged(self, segs):
+    def test_grid_refinement_converged(self, segs, monkeypatch):
         wdef = catalog("tukey", alpha=0.5)
         w0 = main_lobe_width(segs("tukey05", wdef))
-        a = energy_leakage(wdef, w0, f_step=0.005)
-        b = energy_leakage(wdef, w0, f_step=0.0025)
+        a = energy_leakage(wdef, w0)
+        monkeypatch.setattr(metrics, "LEAKAGE_STEP_HZ", 0.0025)
+        b = energy_leakage(wdef, w0)
         assert abs(a - b) < 0.02
 
 
@@ -157,7 +159,7 @@ class TestFullReport:
         assert r.half_width_0p1s == pytest.approx(10.0, abs=0.03)
 
     def test_exp_hann_row(self):
-        r = full_report(ExpKernelWindow(WrappedWindowKernel("hann")))
+        r = full_report(ExpKernelWindow(CatalogWindow("hann")))
         assert r.omega0_hz == pytest.approx(2.27, abs=0.03)
         assert r.leakage_pct == pytest.approx(0.40, abs=0.15)
         assert r.sidelobe_db == pytest.approx(-23.5, abs=0.5)
@@ -186,7 +188,7 @@ class TestFullReport:
     def test_error_carries_window_identity(self):
         with pytest.raises(MetricsError, match="poisson probe"):
             # the spectrum of this wrapped window has no local minimum
-            wdef = ExpKernelWindow(WrappedWindowKernel("poisson", (("tau", 0.05),)))
+            wdef = ExpKernelWindow(CatalogWindow("poisson", (("tau", 0.05),)))
             full_report(wdef, label="poisson probe")
 
 
