@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .spectrum import _band_grid, spectrum_fft, spectrum_quadrature
+from .spectrum import _band_size, spectrum_fft, spectrum_quadrature
 from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
 from .metrics import MetricsReport, full_report
@@ -58,8 +58,8 @@ def cmd_spectrum(args) -> str:
     if args.method == "fft":
         s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
     else:
-        grid = _band_grid(args.fmax, args.pad)
-        s = spectrum_quadrature(wdef, grid[-1], grid.size)
+        m = _band_size(args.fmax, args.pad)
+        s = spectrum_quadrature(wdef, (m - 1) / args.pad, m)
     return _csv("f_hz,abs,db", s.frequencies, s.magnitudes, s.db)
 
 

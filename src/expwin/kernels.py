@@ -74,7 +74,7 @@ def kernel_eval(spec: KernelSpec, t):
 
         if not isinstance(spec, CatalogWindow):
             raise TypeError(f"unknown kernel spec: {spec!r}")
-        out = catalog_eval(spec.window_id, spec.params_dict, t)
+        out = catalog_eval(spec, t)
 
     if not np.all(out[interior] >= 0.0):
         raise InvalidKernelError(f"kernel {spec!r} is negative or NaN inside (0,1)")

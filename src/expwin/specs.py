@@ -16,7 +16,7 @@ import math
 from typing import Dict
 
 from .kernels import PolynomialKernel, ScaledSineKernel
-from .windows import CATALOG, BadParameterError, CatalogWindow, ExpKernelWindow, WindowDef, catalog
+from .windows import BadParameterError, CatalogWindow, ExpKernelWindow, WindowDef, catalog
 
 
 class SpecParseError(ValueError):
@@ -44,8 +44,6 @@ def _parse_params(text: str, context: str) -> Dict[str, float]:
 
 def _parse_catalog(text: str) -> CatalogWindow:
     window_id, _, rest = text.partition(":")
-    if window_id not in CATALOG:
-        raise SpecParseError(f"unknown window id {window_id!r}")
     params = _parse_params(rest, text) if rest else {}
     try:
         return catalog(window_id, **params)

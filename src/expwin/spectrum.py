@@ -86,16 +86,17 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
     return chirp[:m] * conv[:m]
 
 
-def _band_grid(f_max: float, pad_factor: int) -> np.ndarray:
-    """The grid k/pad_factor Hz, k >= 0, up to f_max (1e-12 Hz slack)."""
+def _band_size(f_max: float, pad_factor: int) -> int:
+    """How many of the frequencies k/pad_factor Hz, k >= 0, lie up to f_max (1e-12 Hz slack)."""
     if pad_factor < 2:
         raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
     if not f_max >= 0.0:
         raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
     if not np.isfinite(f_max):
         raise ValueError(f"f_max must be finite, got {f_max:g}")
-    freqs = np.arange(int(f_max * pad_factor) + 2) / pad_factor
-    return freqs[freqs <= f_max + 1e-12]
+    # Every k below int(f_max * pad_factor) lies inside; k/pad_factor rises with k.
+    k = int(f_max * pad_factor)
+    return k + sum(j / pad_factor <= f_max + 1e-12 for j in (k, k + 1))
 
 
 def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
@@ -110,9 +111,9 @@ def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0
     nyquist = 0.5 / dt
     if f_max > nyquist:
         raise ValueError(f"f_max must be in [0, {nyquist:g}] Hz (Nyquist), got {f_max:g}")
-    freqs = _band_grid(f_max, pad_factor)
-    amps = _band_dft(values, dt, 1.0 / pad_factor, freqs.size) * dt
-    return Spectrum(frequencies=freqs, amplitudes=amps)
+    m = _band_size(f_max, pad_factor)
+    amps = _band_dft(values, dt, 1.0 / pad_factor, m) * dt
+    return Spectrum(frequencies=np.arange(m) / pad_factor, amplitudes=amps)
 
 
 def _simpson_weights(panels: int) -> np.ndarray:

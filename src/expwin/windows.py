@@ -3,13 +3,14 @@
 All windows live on the unit interval: W(t) is given by its formula for
 t in [0, 1] and is identically zero outside.  Windows built from a
 kernel B(t) take the form W(t) = exp(1/B_max - 1/B(t)), which vanishes
-with all derivatives at both endpoints.
+with all derivatives at both endpoints.  A ``CatalogWindow`` checks its
+id and parameters when it is built, so evaluating one raises nothing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -22,11 +23,6 @@ _UNDERFLOW_EXPONENT = 745.0
 
 class BadParameterError(ValueError):
     """Window parameter outside its documented range."""
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise BadParameterError(msg)
 
 
 def _w_rectangular(t, p):
@@ -55,33 +51,28 @@ def _w_hamming(t, p):
 
 
 def _w_gaussian(t, p):
-    sigma = p["sigma"]
-    _require(sigma > 0, f"gaussian sigma must be > 0, got {sigma}")
-    return np.exp(-0.5 * ((t - 0.5) / sigma) ** 2)
+    with np.errstate(over="ignore"):  # an infinite quotient correctly gives W = 0
+        return np.exp(-0.5 * ((t - 0.5) / p["sigma"]) ** 2)
 
 
 def _w_cauchy_lorentz(t, p):
-    gamma = p["gamma"]
-    _require(gamma > 0, f"cauchy_lorentz gamma must be > 0, got {gamma}")
+    gamma = np.float64(p["gamma"])  # gamma ** 2 overflows to inf, not OverflowError
     return gamma ** 2 / ((t - 0.5) ** 2 + gamma ** 2)
 
 
 def _w_poisson(t, p):
-    tau = p["tau"]
-    _require(tau > 0, f"poisson tau must be > 0, got {tau}")
-    return np.exp(-np.abs(t - 0.5) / tau)
+    with np.errstate(over="ignore"):  # an infinite quotient correctly gives W = 0
+        return np.exp(-np.abs(t - 0.5) / p["tau"])
 
 
 def _w_kaiser(t, p):
     alpha = p["alpha"]
-    _require(alpha > 0, f"kaiser alpha must be > 0, got {alpha}")
     arg = np.pi * alpha * np.sqrt(np.clip(1.0 - (2.0 * t - 1.0) ** 2, 0.0, None))
     return np.i0(arg) / float(np.i0(np.pi * alpha))
 
 
 def _w_tukey(t, p):
     alpha = p["alpha"]
-    _require(0 < alpha < 1, f"tukey alpha must be in (0,1), got {alpha}")
     out = np.ones_like(t)
     left = t < alpha / 2.0
     right = t > 1.0 - alpha / 2.0
@@ -92,7 +83,6 @@ def _w_tukey(t, p):
 
 def _w_planck_taper(t, p):
     eps = p["epsilon"]
-    _require(0 < eps < 0.5, f"planck_taper epsilon must be in (0,0.5), got {eps}")
     out = np.ones_like(t)
     left = (t > 0.0) & (t < eps)
     right = (t > 1.0 - eps) & (t < 1.0)
@@ -107,7 +97,6 @@ def _w_planck_taper(t, p):
 
 def _w_avci_exp(t, p):
     alpha = p["alpha"]
-    _require(alpha > 0, f"avci_exp alpha must be > 0, got {alpha}")
     return np.exp(alpha * np.sqrt(np.clip(1.0 - 4.0 * (t - 0.5) ** 2, 0.0, None)) - alpha)
 
 
@@ -128,40 +117,48 @@ CATALOG: Dict[str, tuple] = {
     "avci_exp": (_w_avci_exp, {"alpha": 2.0}, "exp(a sqrt(1-4(t-0.5)^2)) / exp(a)"),
 }
 
+# Open range (low, high) of each parameter; a parameter not listed must be > 0.
+_OPEN_RANGES = {("tukey", "alpha"): (0.0, 1.0), ("planck_taper", "epsilon"): (0.0, 0.5)}
 
-def catalog_eval(window_id: str, params: Optional[Mapping[str, float]], t):
-    """Evaluate a catalog window at ``t``.
 
-    The formula value is returned on [0, 1]; outside the unit interval
-    the window is zero.  A scalar ``t`` gives a numpy float64, an array
-    ``t`` an array of its shape.
-    """
-    if window_id not in CATALOG:
-        raise BadParameterError(f"unknown window id: {window_id!r}")
-    fn, defaults, _ = CATALOG[window_id]
-    unknown = set(params or ()) - set(defaults)
-    if unknown:
-        raise BadParameterError(f"{window_id} does not take parameters {sorted(unknown)}")
-    p = {**defaults, **(params or {})}
+@dataclass(frozen=True)
+class CatalogWindow:
+    """A catalog window by id and sorted parameters; also the kernel of exp:win: windows.
 
+    Raises BadParameterError on an unknown id or key, a value out of range or a non-finite W(1/2)."""
+
+    window_id: str
+    params: Tuple[Tuple[str, float], ...] = ()
+
+    def __post_init__(self):
+        if self.window_id not in CATALOG:
+            raise BadParameterError(f"unknown window id {self.window_id!r}")
+        unknown = {key for key, _ in self.params} - set(CATALOG[self.window_id][1])
+        if unknown:
+            raise BadParameterError(f"{self.window_id} does not take parameters {sorted(unknown)}")
+        for key, value in self.params:
+            low, high = _OPEN_RANGES.get((self.window_id, key), (0.0, math.inf))
+            if not low < value < high:
+                bound = f"> {low:g}" if high == math.inf else f"in ({low:g},{high:g})"
+                raise BadParameterError(f"{self.window_id} {key} must be {bound}, got {value}")
+        with np.errstate(all="ignore"):
+            if not np.isfinite(catalog_eval(self, 0.5)):
+                raise BadParameterError(f"{self.window_id} {dict(self.params)} gives a non-finite W(1/2)")
+
+
+def catalog_eval(w: CatalogWindow, t):
+    """Evaluate a catalog window, checked when built, at ``t``; raises nothing.
+
+    Unset parameters take the id's defaults; W is zero outside [0, 1].  A
+    scalar ``t`` gives a numpy float64, an array ``t`` an array of its shape."""
+    fn, defaults, _ = CATALOG[w.window_id]
+    p = {**defaults, **dict(w.params)}
     t = np.asarray(t, dtype=float)
     # Formulas see a 1-d array inside [0, 1]: a scalar t gets array arithmetic
     # (numpy scalar ** and np.i0 differ in the last bit), and none overflows.
     out = np.asarray(fn(np.clip(t, 0.0, 1.0).reshape(-1), p), dtype=float).reshape(t.shape)
     out[(t < 0.0) | (t > 1.0)] = 0.0
     return out[()]
-
-
-@dataclass(frozen=True)
-class CatalogWindow:
-    """A catalog window by id and sorted parameters; also the kernel of exp:win: windows."""
-
-    window_id: str
-    params: Tuple[Tuple[str, float], ...] = ()
-
-    @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)
@@ -173,10 +170,8 @@ WindowDef = Union[CatalogWindow, ExpKernelWindow]
 
 
 def catalog(window_id: str, **params: float) -> CatalogWindow:
-    """Build a CatalogWindow, validating id and parameters."""
-    w = CatalogWindow(window_id, tuple(sorted(params.items())))
-    catalog_eval(window_id, params, 0.5)  # validate eagerly
-    return w
+    """Build a CatalogWindow from keyword parameters (checked as the constructor checks them)."""
+    return CatalogWindow(window_id, tuple(sorted(params.items())))
 
 
 def exp_window_eval(kernel: KernelSpec, t):
@@ -201,7 +196,7 @@ def window_eval(wdef: WindowDef, t):
     """Evaluate any WindowDef at ``t``: a numpy float64 for a scalar
     ``t``, an array of its shape for an array ``t``."""
     if isinstance(wdef, CatalogWindow):
-        return catalog_eval(wdef.window_id, wdef.params_dict, t)
+        return catalog_eval(wdef, t)
     if isinstance(wdef, ExpKernelWindow):
         return exp_window_eval(wdef.kernel, t)
     raise TypeError(f"unknown window definition: {wdef!r}")

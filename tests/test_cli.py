@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ class TestSampleCommand:
         assert code == 1
         assert "hann" in err
 
+    @pytest.mark.parametrize(
+        "spec,column",
+        [
+            ("kaiser:alpha=300", None),
+            ("exp:win:kaiser:alpha=227", None),
+            ("cauchy_lorentz:gamma=1e-170", None),
+            ("cauchy_lorentz:gamma=1e160", None),
+            ("gaussian:sigma=1e-200", ["0", "0", "1", "0"]),
+            ("poisson:tau=1e-310", ["0", "0", "1", "0"]),
+        ],
+    )
+    def test_extreme_catalog_parameters(self, capsys, spec, column):
+        # a window that is not finite at its peak is an error, never NaN on stdout
+        code, out, err = run_cli(capsys, "sample", spec, "--n", "4")
+        if column is None:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "non-finite W(1/2)" in err
+        else:
+            assert (code, err) == (0, "")
+            assert [l.split(",")[1] for l in out.strip().split("\n")[1:]] == column
+
 
 class TestSpectrumCommand:
     def test_quadrature_null(self, capsys):
@@ -234,6 +256,18 @@ class TestSpectrumCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: f_max ")
+
+    def test_rejected_quad_band_is_not_built(self, capsys):
+        # the 12.8 million frequencies of this band would take about 100 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "spectrum", "hann", "--fmax", "100000", "--method", "quad")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: quadrature is limited to 32768 Hz, got 100000 Hz\n"
+        assert peak < 2**20
 
     def test_wrapped_planck_taper(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "exp:win:planck_taper:epsilon=0.1")

@@ -24,55 +24,59 @@ SYMMETRIC_IDS = sorted(CATALOG)
 
 class TestCatalogEval:
     def test_hann_peak(self):
-        assert catalog_eval("hann", None, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert catalog_eval(catalog("hann"), 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_welch_quarter(self):
-        assert catalog_eval("welch", None, 0.25) == pytest.approx(0.75, abs=1e-15)
+        assert catalog_eval(catalog("welch"), 0.25) == pytest.approx(0.75, abs=1e-15)
 
     def test_kaiser_peak(self):
-        assert catalog_eval("kaiser", {"alpha": 8 / math.pi}, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert catalog_eval(catalog("kaiser", alpha=8 / math.pi), 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_planck_flat_top(self):
-        assert catalog_eval("planck_taper", {"epsilon": 0.25}, 0.5) == 1.0
-        assert catalog_eval("planck_taper", {"epsilon": 0.25}, 0.3) == 1.0
+        assert catalog_eval(catalog("planck_taper", epsilon=0.25), 0.5) == 1.0
+        assert catalog_eval(catalog("planck_taper", epsilon=0.25), 0.3) == 1.0
 
     def test_triangular_vanishes_at_ends(self):
-        assert catalog_eval("triangular", None, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert catalog_eval("triangular", None, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert catalog_eval(catalog("triangular"), 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert catalog_eval(catalog("triangular"), 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_outside_unit_interval(self):
         for wid in CATALOG:
-            assert catalog_eval(wid, None, -0.1) == 0.0
-            assert catalog_eval(wid, None, 1.1) == 0.0
+            assert catalog_eval(catalog(wid), -0.1) == 0.0
+            assert catalog_eval(catalog(wid), 1.1) == 0.0
 
     def test_formula_not_evaluated_outside_unit_interval(self):
         # 2 pi t / alpha overflows at t = -0.5, and 2 pi (1 - t) / alpha at t = 1.5
         for t in (-0.5, 1.5):
-            assert catalog_eval("tukey", {"alpha": 1e-320}, t) == 0.0
+            assert catalog_eval(catalog("tukey", alpha=1e-320), t) == 0.0
 
     def test_starred_windows_positive_at_ends(self):
         for wid in ("gaussian", "cauchy_lorentz", "poisson", "hamming"):
-            assert catalog_eval(wid, None, 0.0) > 0.0
-            assert catalog_eval(wid, None, 1.0) > 0.0
+            assert catalog_eval(catalog(wid), 0.0) > 0.0
+            assert catalog_eval(catalog(wid), 1.0) > 0.0
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameterError):
-            catalog_eval("tukey", {"alpha": 1.5}, 0.5)
+            catalog("tukey", alpha=1.5)
         with pytest.raises(BadParameterError):
-            catalog_eval("planck_taper", {"epsilon": 0.6}, 0.5)
+            catalog("planck_taper", epsilon=0.6)
         with pytest.raises(BadParameterError):
-            catalog_eval("gaussian", {"sigma": -1.0}, 0.5)
+            catalog("gaussian", sigma=-1.0)
         with pytest.raises(BadParameterError):
-            catalog_eval("nosuch", None, 0.5)
+            catalog("nosuch")
         with pytest.raises(BadParameterError):
-            catalog_eval("hann", {"alpha": 1.0}, 0.5)
+            catalog("hann", alpha=1.0)
+
+    def test_constructor_checks_parameters(self):
+        with pytest.raises(BadParameterError, match=r"tukey alpha must be in \(0,1\), got 1.5"):
+            CatalogWindow("tukey", (("alpha", 1.5),))
 
     def test_bessel_i0_matches_scipy(self):
         t = np.linspace(0.0, 1.0, 121)
         for alpha in (0.5, 8 / math.pi, 12.0):
             ref = scipy_i0(np.pi * alpha * np.sqrt(1.0 - (2.0 * t - 1.0) ** 2))
             ref = ref / scipy_i0(np.pi * alpha)
-            ours = catalog_eval("kaiser", {"alpha": alpha}, t)
+            ours = catalog_eval(catalog("kaiser", alpha=alpha), t)
             assert np.max(np.abs(ours - ref) / ref) < 1e-14
 
 
@@ -155,6 +159,12 @@ class TestProperties:
         scaled = exp_window_eval(ScaledSineKernel(c), t)
         base = exp_window_eval(ScaledSineKernel(1.0), t)
         assert np.max(np.abs(scaled - base ** (1.0 / c))) < 1e-12
+
+    @settings(deadline=None)
+    @given(wdef=catalog_windows())
+    def test_catalog_window_is_one_at_half(self, wdef):
+        # the construction check relies on W(1/2) = 1 for every catalog formula
+        assert abs(window_eval(wdef, 0.5) - 1.0) <= 1e-15
 
     @settings(deadline=None)
     @given(kernel=kernels(), t=st.lists(st.floats(-0.5, 1.5), max_size=20))
