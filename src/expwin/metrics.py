@@ -10,13 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectrum import (
-    LobeSegmentation,
-    _simpson_weights,
-    segment_lobes,
-    spectrum_fft,
-    spectrum_quadrature,
-)
+from .spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_fft
 from .windows import WindowDef, sample, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
@@ -25,7 +19,6 @@ PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
 HALF_WIDTH_GRID = 8193    # points of the scan for the sqrt(2)/2 crossings
-LEAKAGE_STEP_HZ = 0.005   # Simpson panel width of the main-lobe energy integral
 
 
 class InsufficientLobesError(RuntimeError):
@@ -61,19 +54,24 @@ def main_lobe_width(seg: LobeSegmentation) -> float:
 def energy_leakage(wdef: WindowDef, omega0_hz: float) -> float:
     """Percentage of window energy outside the main lobe.
 
-    Main-lobe energy is 2 * integral_0^omega0 |Fhat(f)|^2 df (the
-    spectrum is conjugate-symmetric); by Parseval the total energy is
-    integral_0^1 W(t)^2 dt.  Both integrals use composite Simpson.
+    The window is evaluated once, at t_k = k/P with P = 2^15, and
+    g_k = s_k W(t_k) with Simpson weights s_k; Fhat(f) = sum_k g_k
+    exp(2 pi i f t_k) is the quadrature spectrum.  Its main-lobe energy
+    integral_-omega0^omega0 |Fhat(f)|^2 df is exactly
+    2 omega0 (R_0 + 2 sum_{d>=1} R_d sinc(2 omega0 d/P)), where R is the
+    autocorrelation of g.  By Parseval the total energy is integral_0^1
+    W(t)^2 dt, here sum_k s_k W(t_k)^2.
     """
-    panels = int(math.ceil(omega0_hz / LEAKAGE_STEP_HZ))
-    panels += panels % 2
-    panels = max(panels, 2)
-    spec = spectrum_quadrature(wdef, omega0_hz, panels + 1)
-    lobe_energy = 2.0 * omega0_hz * float(np.dot(_simpson_weights(panels), spec.magnitudes ** 2))
-
-    tp = 2 ** 15
-    w2 = window_eval(wdef, np.linspace(0.0, 1.0, tp + 1)) ** 2
-    total_energy = float(np.dot(_simpson_weights(tp), w2))
+    p = 2 ** 15
+    s = _simpson_weights(p)
+    w = window_eval(wdef, np.linspace(0.0, 1.0, p + 1))
+    g = s * w
+    # A circular autocorrelation of length 2P folds lag -P onto lag P only.
+    r = np.fft.irfft(np.abs(np.fft.rfft(g, 2 * p)) ** 2, 2 * p)[: p + 1]
+    r[p] = g[0] * g[p]
+    r[1:] *= 2.0 * np.sinc(2.0 * omega0_hz * np.arange(1, p + 1) / p)
+    lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
+    total_energy = float(np.dot(s, w ** 2))
 
     leak = 100.0 * (1.0 - lobe_energy / total_energy)
     return max(leak, 0.0)

@@ -16,7 +16,7 @@ import math
 from typing import Dict
 
 from .kernels import PolynomialKernel, ScaledSineKernel
-from .windows import BadParameterError, CatalogWindow, ExpKernelWindow, WindowDef, catalog
+from .windows import BadParameterError, CatalogWindow, ExpKernelWindow, WindowDef
 
 
 class SpecParseError(ValueError):
@@ -46,7 +46,7 @@ def _parse_catalog(text: str) -> CatalogWindow:
     window_id, _, rest = text.partition(":")
     params = _parse_params(rest, text) if rest else {}
     try:
-        return catalog(window_id, **params)
+        return CatalogWindow(window_id, tuple(sorted(params.items())))
     except BadParameterError as exc:
         raise SpecParseError(str(exc)) from exc
 

@@ -5,10 +5,12 @@ with frequencies in Hz.  Two independent evaluation paths are provided:
 a Riemann sum over the sampled window, and composite-Simpson quadrature
 of the defining integral (the oracle for the sampled path).  Both
 evaluate an evenly spaced band that starts at 0 Hz with one chirp-z
-transform.
+transform, whose chirp and kernel FFT are cached for the last band
+shape; bands of one shape, such as the table rows, share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,32 +60,46 @@ class LobeSegmentation:
     peak_db: np.ndarray            # dB relative to the f=0 amplitude
 
 
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(n: int, m: int, a: float) -> tuple:
+    """Read-only chirp exp(i*pi*a*k^2), k < max(n, m), and FFT of the Bluestein kernel.
+
+    The 29 table rows share one plan, and so do repeated CLI spectra with
+    the same --n, --pad and --fmax; only the last plan is kept.
+    """
+    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
+    k2 = np.arange(max(n, m), dtype=float) ** 2
+    chirp = np.exp(1j * np.pi * np.fmod(a * k2, 2.0))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    kernel_fft = np.fft.fft(kernel, out=kernel)
+    chirp.flags.writeable = kernel_fft.flags.writeable = False
+    return chirp, kernel_fft
+
+
 def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
     """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = 0..m-1.
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
-    a = dt*df, done by power-of-two FFTs.  The chirp phase a*k^2 is
-    reduced mod 2 before multiplying by pi, so it stays exact whenever
-    a is a power of two; otherwise its absolute error grows with a*k^2,
-    which is why values above 2^24 raise ValueError.
+    a = dt*df, done by power-of-two FFTs.  The chirp and the kernel FFT
+    depend only on (n, m, a) and come from ``_chirp_plan``.  The chirp
+    phase a*k^2 is reduced mod 2 before multiplying by pi, so it stays
+    exact whenever a is a power of two; otherwise its absolute error grows
+    with a*k^2, which is why values above 2^24 raise ValueError.
     """
     n = g.size
-    k_max = max(n, m)
-    phase_max = dt * df * k_max ** 2
+    phase_max = dt * df * max(n, m) ** 2
     if phase_max > 2.0 ** 24:
         raise ValueError(
             f"band too sparse for the chirp-z phase: dt*df*max(n,m)^2 = {phase_max:.3g} > 2^24;"
             " use more frequencies or a lower f_max"
         )
-    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
-    k2 = np.arange(k_max, dtype=float) ** 2
-    chirp = np.exp(1j * np.pi * np.fmod(dt * df * k2, 2.0))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = np.conj(chirp[:m])
-    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    conv = np.fft.ifft(np.fft.fft(g * chirp[:n], size) * np.fft.fft(kernel))
-    return chirp[:m] * conv[:m]
+    chirp, kernel_fft = _chirp_plan(n, m, dt * df)
+    conv = np.fft.fft(g * chirp[:n], kernel_fft.size)
+    conv *= kernel_fft
+    return chirp[:m] * np.fft.ifft(conv, out=conv)[:m]
 
 
 def _band_size(f_max: float, pad_factor: int) -> int:
@@ -181,15 +197,12 @@ def segment_lobes(s: Spectrum) -> LobeSegmentation:
         raise NoNullsFoundError("no spectral local minimum below the scan limit")
     nulls = _parabolic_vertex(freqs[mins], h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
 
-    # Each point between the first and last minima joins the lobe closed
-    # by the next minimum at or after it; that minimum is never the lobe's
-    # first largest point, since mag[m] < mag[m - 1].  Sorting by lobe,
-    # then by falling magnitude (stable, so ties keep grid order) puts
-    # each lobe's first largest point first.
-    j = np.arange(mins[0] + 1, mins[-1])
-    lobe = np.searchsorted(mins, j)
-    order = np.lexsort((-mag[j], lobe))
-    k = j[order[np.unique(lobe[order], return_index=True)[1]]]
+    # Lobe i runs from mins[i] + 1 to mins[i + 1]; its closing minimum is
+    # never its first largest point, since mag[m] < mag[m - 1].  The peak
+    # is the lobe's first index whose magnitude equals the lobe's maximum.
+    span = np.arange(mins[0] + 1, mins[-1] + 1)
+    starts = mins[:-1] - mins[0]
+    top = np.repeat(np.maximum.reduceat(mag[span], starts), np.diff(mins))
+    k = np.minimum.reduceat(np.where(mag[span] == top, span, mag.size), starts)
     peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, db[k - 1], db[k], db[k + 1])
     return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db)
-

@@ -170,6 +170,12 @@ class TestSampleCommand:
         assert code == 1
         assert "hann" in err
 
+    @pytest.mark.parametrize("spec", ["tukey:window_id=1", "exp:win:tukey:window_id=1"])
+    def test_key_named_window_id_is_unknown_parameter(self, capsys, spec):
+        code, out, err = run_cli(capsys, "sample", spec, "--n", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: tukey does not take parameters ['window_id']\n"
+
     @pytest.mark.parametrize(
         "spec,column",
         [

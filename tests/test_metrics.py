@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
-from expwin import metrics
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import (
     InsufficientLobesError,
@@ -17,8 +17,15 @@ from expwin.metrics import (
     half_width_numeric,
     main_lobe_width,
 )
-from expwin.spectrum import LobeSegmentation, segment_lobes, spectrum_fft
-from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, sample
+from expwin.specs import parse_window_spec
+from expwin.spectrum import (
+    LobeSegmentation,
+    _simpson_weights,
+    segment_lobes,
+    spectrum_fft,
+    spectrum_quadrature,
+)
+from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, sample, window_eval
 
 KAISER_ALPHA = 8 / math.pi
 
@@ -65,13 +72,30 @@ class TestEnergyLeakage:
         seg = _segment(wdef)
         assert energy_leakage(wdef, main_lobe_width(seg)) < 0.005
 
-    def test_grid_refinement_converged(self, segs, monkeypatch):
-        wdef = catalog("tukey", alpha=0.5)
-        w0 = main_lobe_width(segs("tukey05", wdef))
-        a = energy_leakage(wdef, w0)
-        monkeypatch.setattr(metrics, "LEAKAGE_STEP_HZ", 0.0025)
-        b = energy_leakage(wdef, w0)
-        assert abs(a - b) < 0.02
+    @pytest.mark.parametrize("w0", [None, 0.37, 1.0, 2.5, 7.3])
+    def test_rectangular_closed_form(self, segs, w0):
+        # 2 integral_0^w0 sinc^2(f) df = (2/pi) (Si(2 pi w0) - sin^2(pi w0)/(pi w0))
+        if w0 is None:
+            w0 = main_lobe_width(segs("rect", catalog("rectangular")))
+        x = math.pi * w0
+        exact = 100.0 * (1.0 - 2.0 / math.pi * (sici(2.0 * x)[0] - math.sin(x) ** 2 / x))
+        assert abs(energy_leakage(catalog("rectangular"), w0) - exact) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec", ["tukey:alpha=0.5", "exp:poly:m=0.1,n=0.1", "exp:win:kaiser:alpha=2.5464790894703255"]
+    )
+    def test_matches_simpson_over_quadrature_spectrum(self, spec):
+        # Simpson in f at a 0.00125 Hz step over |Fhat|^2 of the 2^15-panel
+        # quadrature spectrum, whose exact integral energy_leakage computes
+        wdef = parse_window_spec(spec)
+        w0 = main_lobe_width(_segment(wdef))
+        panels = int(math.ceil(w0 / 0.00125))
+        panels += panels % 2
+        spec_q = spectrum_quadrature(wdef, w0, panels + 1)
+        lobe = 2.0 * w0 * np.dot(_simpson_weights(panels), spec_q.magnitudes ** 2)
+        w = window_eval(wdef, np.linspace(0.0, 1.0, 2 ** 15 + 1))
+        total = np.dot(_simpson_weights(2 ** 15), w ** 2)
+        assert abs(energy_leakage(wdef, w0) - 100.0 * (1.0 - lobe / total)) < 1e-6
 
 
 class TestFirstSidelobe:

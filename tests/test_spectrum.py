@@ -9,6 +9,8 @@ from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.spectrum import (
     NoNullsFoundError,
     Spectrum,
+    _band_dft,
+    _chirp_plan,
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
@@ -75,6 +77,35 @@ class TestSpectrumFFT:
         assert not w.any()
         with pytest.raises(ValueError, match="DC"):
             spectrum_fft(w, 128, 50.0)
+
+
+class TestChirpPlan:
+    def test_repeat_call_is_bit_identical(self):
+        g = sample(catalog("hann"), 8192) / 8192
+        a = _band_dft(g, 1 / 8192, 1 / 128, 64001)
+        b = _band_dft(g.copy(), 1 / 8192, 1 / 128, 64001)
+        assert a.tobytes() == b.tobytes()
+
+    def test_cached_plan_is_read_only_and_single(self):
+        g = np.ones(64)
+        _band_dft(g, 1 / 64, 0.5, 40)
+        _band_dft(g, 1 / 64, 0.25, 40)
+        assert _chirp_plan.cache_info().currsize <= 1
+        for arr in _chirp_plan(64, 40, 1 / 256):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_non_power_of_two_step_matches_direct_sum(self):
+        # a = dt*df = 0.3/777 is not a power of two, so the chirp phases round
+        rng = np.random.default_rng(5)
+        n, dt, df, m = 777, 1 / 777, 0.3, 500
+        g = rng.standard_normal(n)
+        got = _band_dft(g, dt, df, m)
+        k = np.arange(n)
+        for j in (0, 1, 123, 256, 499):
+            direct = np.sum(g * np.exp(2j * np.pi * (j * df) * (k * dt)))
+            assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
 
 
 class TestSpectrumQuadrature:
@@ -244,6 +275,24 @@ class TestSegmentLobes:
             seg = segment_lobes(s)
         for got, want in zip((seg.nulls, seg.peak_freqs, seg.peak_db), _segment_loop(s)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mags=st.tuples(st.integers(1, 3), st.lists(st.integers(0, 3), min_size=2, max_size=30)).map(
+            lambda dc_rest: [dc_rest[0], *dc_rest[1]]
+        )
+    )
+    def test_small_integer_magnitudes_match_loop(self, mags):
+        # small integers give ties, plateaus, exact zeros and 0, 1 or many minima
+        s = _hand_spectrum(mags)
+        want = _segment_loop(s)
+        if want[0].size == 0:
+            with pytest.raises(NoNullsFoundError):
+                segment_lobes(s)
+            return
+        seg = segment_lobes(s)
+        for got, ref in zip((seg.nulls, seg.peak_freqs, seg.peak_db), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_plateau_peak_takes_first_index(self):
         # minima at 2 and 7; the plateau at 3..5 is refined from index 3,
