@@ -32,6 +32,7 @@ from .spectrum import (
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
+    spectrum_simpson,
 )
 from .metrics import (
     InsufficientLobesError,

@@ -10,15 +10,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_fft
-from .windows import WindowDef, sample, window_eval
+from .kernels import kernel_max
+from .spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_simpson
+from .windows import ExpKernelWindow, WindowDef, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
-N_SAMPLES = 8192          # samples of the one-second record
+N_PANELS = 8192           # Simpson panels of the one-second record; nodes k/N_PANELS, k = 0..N_PANELS
 PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
-HALF_WIDTH_GRID = 8193    # points of the scan for the sqrt(2)/2 crossings
 
 
 class InsufficientLobesError(RuntimeError):
@@ -51,30 +51,26 @@ def main_lobe_width(seg: LobeSegmentation) -> float:
     return float(seg.nulls[0])
 
 
-def energy_leakage(wdef: WindowDef, omega0_hz: float) -> float:
+def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     """Percentage of window energy outside the main lobe.
 
-    The window is evaluated once, at t_k = k/P with P = 2^15, and
-    g_k = s_k W(t_k) with Simpson weights s_k; Fhat(f) = sum_k g_k
-    exp(2 pi i f t_k) is the quadrature spectrum.  Its main-lobe energy
+    ``w`` holds the window at the nodes t_k = k/P, k = 0..P with P even,
+    and g_k = s_k w_k with Simpson weights s_k; Fhat(f) = sum_k g_k
+    exp(2 pi i f t_k) is ``spectrum_simpson(w, ...)``.  Its main-lobe energy
     integral_-omega0^omega0 |Fhat(f)|^2 df is exactly
     2 omega0 (R_0 + 2 sum_{d>=1} R_d sinc(2 omega0 d/P)), where R is the
     autocorrelation of g.  By Parseval the total energy is integral_0^1
-    W(t)^2 dt, here sum_k s_k W(t_k)^2.
+    W(t)^2 dt, here sum_k s_k w_k^2.
     """
-    p = 2 ** 15
-    s = _simpson_weights(p)
-    w = window_eval(wdef, np.linspace(0.0, 1.0, p + 1))
-    g = s * w
+    p = w.size - 1
+    g = _simpson_weights(p) * w
     # A circular autocorrelation of length 2P folds lag -P onto lag P only.
     r = np.fft.irfft(np.abs(np.fft.rfft(g, 2 * p)) ** 2, 2 * p)[: p + 1]
     r[p] = g[0] * g[p]
     r[1:] *= 2.0 * np.sinc(2.0 * omega0_hz * np.arange(1, p + 1) / p)
     lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
-    total_energy = float(np.dot(s, w ** 2))
-
-    leak = 100.0 * (1.0 - lobe_energy / total_energy)
-    return max(leak, 0.0)
+    total_energy = float(np.dot(g, w))
+    return max(100.0 * (1.0 - lobe_energy / total_energy), 0.0)
 
 
 def first_sidelobe(seg: LobeSegmentation) -> tuple:
@@ -118,15 +114,13 @@ def half_width_numeric(wdef: WindowDef) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
     Catalog and reconstructed windows are unimodal or flat-topped, so
-    the super-level set is a single interval; its edges are located by
-    bisection.
+    the super-level set is one interval around the peak, where W = 1.
+    The scan takes the peak too, so a set narrower than a grid step is
+    found; the edges are located by bisection.
     """
-    t = np.linspace(0.0, 1.0, HALF_WIDTH_GRID)
-    vals = window_eval(wdef, t)
-    above = vals >= HALF_AMPLITUDE
-    idx = np.nonzero(above)[0]
-    if idx.size == 0:
-        return 0.0
+    t_peak = kernel_max(wdef.kernel)[0] if isinstance(wdef, ExpKernelWindow) else 0.5
+    t = np.sort(np.append(np.linspace(0.0, 1.0, N_PANELS + 1), t_peak))
+    idx = np.nonzero(window_eval(wdef, t) >= HALF_AMPLITUDE)[0]
     left = 0.0 if idx[0] == 0 else _bisect_crossing(wdef, t[idx[0] - 1], t[idx[0]])
     right = 1.0 if idx[-1] == t.size - 1 else _bisect_crossing(wdef, t[idx[-1]], t[idx[-1] + 1])
     return float(10.0 * (right - left))
@@ -146,13 +140,13 @@ def half_width_analytic(n: float) -> float:
 def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
     """Run the whole pipeline for one window."""
     try:
-        spec = spectrum_fft(sample(wdef, N_SAMPLES), pad_factor=PAD_FACTOR, f_max=F_MAX)
-        seg = segment_lobes(spec)
+        w = window_eval(wdef, np.linspace(0.0, 1.0, N_PANELS + 1))
+        seg = segment_lobes(spectrum_simpson(w, F_MAX, int(F_MAX * PAD_FACTOR) + 1))
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)
         return MetricsReport(
             omega0_hz=omega0,
-            leakage_pct=energy_leakage(wdef, omega0),
+            leakage_pct=energy_leakage(w, omega0),
             sidelobe_db=sl_db,
             sidelobe_width_hz=sl_width,
             decay_scale_hz=decay_scale(seg),

@@ -1,11 +1,11 @@
 """Frequency-domain analysis of windows.
 
 The transform convention is Fhat(f) = integral_0^1 exp(2*pi*i*f*t) W(t) dt
-with frequencies in Hz.  Two independent evaluation paths are provided:
-a Riemann sum over the sampled window, and composite-Simpson quadrature
-of the defining integral (the oracle for the sampled path).  Both
-evaluate an evenly spaced band that starts at 0 Hz with one chirp-z
-transform, whose chirp and kernel FFT are cached for the last band
+with frequencies in Hz.  A Riemann sum over the sampled window
+(``spectrum_fft``) and composite-Simpson quadrature over the window at the
+nodes k/P, k = 0..P (``spectrum_simpson``; ``spectrum_quadrature`` on a dense
+grid is the oracle) both evaluate an evenly spaced band from 0 Hz with one
+chirp-z transform, whose chirp and kernel FFT are cached for the last band
 shape; bands of one shape, such as the table rows, share them.
 """
 from __future__ import annotations
@@ -38,9 +38,10 @@ class Spectrum:
         mag = np.abs(self.amplitudes)
         if not (np.isfinite(mag[0]) and mag[0] > 0.0):
             raise ValueError(f"DC value |W^(0)| = {mag[0]:g} is zero or not finite; dB levels are undefined")
+        mag /= mag[0]  # in place, as below, so no temporaries; db[0] = 20 log10(1) = 0
         with np.errstate(divide="ignore"):
-            self.db = 20.0 * np.log10(mag / mag[0])
-        self.db[0] = 0.0
+            self.db = np.log10(mag, out=mag)
+        self.db *= 20.0
 
     @property
     def df(self) -> float:
@@ -136,17 +137,25 @@ def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0
 
 
 def _simpson_weights(panels: int) -> np.ndarray:
+    if panels < 2 or panels % 2:
+        raise ValueError(f"Simpson's rule needs an even number of panels >= 2, got {panels}")
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / (3.0 * panels)
 
 
+def spectrum_simpson(values: np.ndarray, f_max: float, m: int) -> Spectrum:
+    """Composite-Simpson spectrum of the nodes W(k/P), k = 0..P, P even, at m frequencies 0..f_max Hz."""
+    panels = values.size - 1
+    amps = _band_dft(_simpson_weights(panels) * values, 1.0 / panels, f_max / max(m - 1, 1), m)
+    return Spectrum(frequencies=np.linspace(0.0, f_max, m), amplitudes=amps)
+
+
 def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     """Spectrum at m evenly spaced frequencies from 0 to f_max Hz.
 
-    Composite Simpson quadrature of the defining integral, independent
-    of the sampled path: the window is re-evaluated on a dense grid that
+    ``spectrum_simpson`` of the window re-evaluated on a dense grid that
     includes t = 1, with 64 panels per Hz of f_max and at least 2^15;
     f_max above 32768 Hz (2^21 panels) raises ValueError.
     """
@@ -156,11 +165,7 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
         raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:g} Hz")
     panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
     panels += panels % 2
-
-    t = np.linspace(0.0, 1.0, panels + 1)
-    g = _simpson_weights(panels) * window_eval(wdef, t)
-    amps = _band_dft(g, 1.0 / panels, f_max / max(m - 1, 1), m)
-    return Spectrum(frequencies=np.linspace(0.0, f_max, m), amplitudes=amps)
+    return spectrum_simpson(window_eval(wdef, np.linspace(0.0, 1.0, panels + 1)), f_max, m)
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):

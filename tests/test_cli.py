@@ -28,13 +28,13 @@ Exp[2 sin(pi t)],exp:sine:c=2.0,1.43,1.74,18.2,1.19,14.04,5.98
 Exp[Hann],exp:win:hann,2.26,0.40,23.5,1.62,10.14,3.39
 Exp[Kaiser a=8/pi],exp:win:kaiser:alpha=2.5464790894703255,2.71,0.25,25.4,1.86,10.02,2.79
 Exp[Tukey a=0.5],exp:win:tukey:alpha=0.5,1.40,4.87,14.3,1.39,13.24,6.69
-Exp poly n=0.1,"exp:poly:m=0.1,n=0.1",1.06,6.51,14.4,1.01,140.61,9.64
+Exp poly n=0.1,"exp:poly:m=0.1,n=0.1",1.06,6.51,14.4,1.01,140.60,9.64
 Exp poly n=0.25,"exp:poly:m=0.25,n=0.25",1.19,3.11,16.5,1.04,37.94,7.64
 Exp poly n=0.5,"exp:poly:m=0.5,n=0.5",1.52,0.89,20.7,1.14,12.67,5.23
 Exp poly n=1.0,"exp:poly:m=1.0,n=1.0",2.61,0.06,30.5,1.48,7.28,2.82
 Exp poly n=1.5,"exp:poly:m=1.5,n=1.5",4.68,0.00,44.2,1.98,7.24,1.67
 Exp poly n=2.0,"exp:poly:m=2.0,n=2.0",8.70,0.00,65.5,2.65,9.37,1.03
-Rectangular,rectangular,1.00,9.72,13.3,1.00,319.50,10.00
+Rectangular,rectangular,1.00,9.72,13.3,1.00,318.50,10.00
 Triangular,triangular,2.00,0.29,26.5,2.00,20.98,2.93
 Welch,welch,1.43,0.79,21.3,1.03,17.98,5.41
 Sine,sine,1.50,0.51,23.0,1.00,15.99,5.00

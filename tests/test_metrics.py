@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import sici
 
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import (
+    DECAY_THRESHOLD_DB,
+    HALF_AMPLITUDE,
+    N_PANELS,
     InsufficientLobesError,
     MetricsError,
     NotConvergedError,
@@ -18,20 +22,21 @@ from expwin.metrics import (
     main_lobe_width,
 )
 from expwin.specs import parse_window_spec
-from expwin.spectrum import (
-    LobeSegmentation,
-    _simpson_weights,
-    segment_lobes,
-    spectrum_fft,
-    spectrum_quadrature,
-)
-from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, sample, window_eval
+from expwin.spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_simpson
+from expwin.table import TABLE_ROWS
+from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, window_eval
 
 KAISER_ALPHA = 8 / math.pi
 
 
-def _segment(wdef, f_max=500.0):
-    return segment_lobes(spectrum_fft(sample(wdef, 8192), 128, f_max))
+def _nodes(wdef, panels=N_PANELS):
+    """The window at t_k = k/panels, k = 0..panels."""
+    return window_eval(wdef, np.linspace(0.0, 1.0, panels + 1))
+
+
+def _segment(wdef):
+    """Lobes of the spectrum full_report reads: Simpson on N_PANELS panels, k/128 Hz to 500 Hz."""
+    return segment_lobes(spectrum_simpson(_nodes(wdef), 500.0, 64001))
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +66,16 @@ class TestMainLobeWidth:
 class TestEnergyLeakage:
     def test_rectangular(self, segs):
         w0 = main_lobe_width(segs("rect", catalog("rectangular")))
-        assert energy_leakage(catalog("rectangular"), w0) == pytest.approx(9.71, abs=0.15)
+        assert energy_leakage(_nodes(catalog("rectangular")), w0) == pytest.approx(9.71, abs=0.15)
 
     def test_hann(self, segs):
         w0 = main_lobe_width(segs("hann", catalog("hann")))
-        assert energy_leakage(catalog("hann"), w0) == pytest.approx(0.05, abs=0.02)
+        assert energy_leakage(_nodes(catalog("hann")), w0) == pytest.approx(0.05, abs=0.02)
 
     def test_near_total_concentration(self):
         wdef = ExpKernelWindow(PolynomialKernel(1.5, 1.5))
         seg = _segment(wdef)
-        assert energy_leakage(wdef, main_lobe_width(seg)) < 0.005
+        assert energy_leakage(_nodes(wdef), main_lobe_width(seg)) < 0.005
 
     @pytest.mark.parametrize("w0", [None, 0.37, 1.0, 2.5, 7.3])
     def test_rectangular_closed_form(self, segs, w0):
@@ -79,23 +84,37 @@ class TestEnergyLeakage:
             w0 = main_lobe_width(segs("rect", catalog("rectangular")))
         x = math.pi * w0
         exact = 100.0 * (1.0 - 2.0 / math.pi * (sici(2.0 * x)[0] - math.sin(x) ** 2 / x))
-        assert abs(energy_leakage(catalog("rectangular"), w0) - exact) < 1e-9
+        assert abs(energy_leakage(_nodes(catalog("rectangular")), w0) - exact) < 1e-9
 
     @pytest.mark.parametrize(
         "spec", ["tukey:alpha=0.5", "exp:poly:m=0.1,n=0.1", "exp:win:kaiser:alpha=2.5464790894703255"]
     )
     def test_matches_simpson_over_quadrature_spectrum(self, spec):
-        # Simpson in f at a 0.00125 Hz step over |Fhat|^2 of the 2^15-panel
-        # quadrature spectrum, whose exact integral energy_leakage computes
+        # Simpson in f at a 0.00125 Hz step over |Fhat|^2 of the Simpson
+        # spectrum of the same N_PANELS nodes, whose exact integral
+        # energy_leakage computes
         wdef = parse_window_spec(spec)
+        w = _nodes(wdef)
         w0 = main_lobe_width(_segment(wdef))
         panels = int(math.ceil(w0 / 0.00125))
         panels += panels % 2
-        spec_q = spectrum_quadrature(wdef, w0, panels + 1)
-        lobe = 2.0 * w0 * np.dot(_simpson_weights(panels), spec_q.magnitudes ** 2)
-        w = window_eval(wdef, np.linspace(0.0, 1.0, 2 ** 15 + 1))
-        total = np.dot(_simpson_weights(2 ** 15), w ** 2)
-        assert abs(energy_leakage(wdef, w0) - 100.0 * (1.0 - lobe / total)) < 1e-6
+        spec_s = spectrum_simpson(w, w0, panels + 1)
+        lobe = 2.0 * w0 * np.dot(_simpson_weights(panels), spec_s.magnitudes ** 2)
+        total = np.dot(_simpson_weights(N_PANELS), w ** 2)
+        assert abs(energy_leakage(w, w0) - 100.0 * (1.0 - lobe / total)) < 1e-6
+
+    @pytest.mark.parametrize("label, spec", TABLE_ROWS)
+    def test_table_rows_resolved_by_n_panels(self, label, spec):
+        # the printed leakage, from N_PANELS nodes, against 2^15 panels;
+        # the largest gap is 6.9e-4 points, at Exp poly n=0.1
+        wdef = parse_window_spec(spec)
+        r = full_report(wdef)
+        assert abs(r.leakage_pct - energy_leakage(_nodes(wdef, 2 ** 15), r.omega0_hz)) < 1e-3
+
+    @pytest.mark.parametrize("size", [2, 8, 8192])
+    def test_odd_panel_count_raises(self, size):
+        with pytest.raises(ValueError, match="even number of panels"):
+            energy_leakage(np.ones(size), 1.0)
 
 
 class TestFirstSidelobe:
@@ -166,6 +185,20 @@ class TestHalfWidth:
         assert half_width_analytic(0.5) == pytest.approx(5.23, abs=0.01)
         assert half_width_analytic(2.0) == pytest.approx(1.03, abs=0.01)
 
+    @pytest.mark.parametrize("m, n", [(12, 13), (11, 12)])
+    def test_set_narrower_than_grid_step(self, m, n):
+        # W >= sqrt(2)/2 only on about 3e-5 s around t* = m/(m+n), between
+        # two scan nodes for m=12, n=13; reference edges by brentq
+        wdef = ExpKernelWindow(PolynomialKernel(m, n))
+        t_star = m / (m + n)
+
+        def f(t):
+            return window_eval(wdef, t) - HALF_AMPLITUDE
+
+        right = brentq(f, t_star, t_star + 0.01, xtol=1e-14)
+        left = brentq(f, t_star - 0.01, t_star, xtol=1e-14)
+        assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
+
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
     def test_analytic_matches_bisection(self, n):
         numeric = half_width_numeric(ExpKernelWindow(PolynomialKernel(n, n)))
@@ -181,6 +214,16 @@ class TestFullReport:
         assert r.sidelobe_width_hz == pytest.approx(1.00, abs=0.05)
         assert r.decay_scale_hz == pytest.approx(317.5, rel=0.05)
         assert r.half_width_0p1s == pytest.approx(10.0, abs=0.03)
+
+    def test_rectangular_decay_is_converged_sinc_peak(self):
+        # |W^(f)| = |sinc(f)|: scan each lobe (k, k+1) at 1e-4 Hz for the first
+        # peak below -60 dB (318.49968 Hz at -60.005 dB, after 317.49968 Hz
+        # at -59.978 dB; a Riemann sum over 8192 samples gives 319.5)
+        f = np.linspace(0.0, 1.0, 10001)
+        while 20.0 * np.log10(np.max(np.abs(np.sinc(f)))) >= DECAY_THRESHOLD_DB:
+            f += 1.0
+        peak = f[np.argmax(np.abs(np.sinc(f)))]
+        assert abs(full_report(catalog("rectangular")).decay_scale_hz - peak) < 1e-3
 
     def test_exp_hann_row(self):
         r = full_report(ExpKernelWindow(CatalogWindow("hann")))

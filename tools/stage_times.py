@@ -4,28 +4,33 @@ Runs the stages of ``full_report`` one by one for every row of
 ``TABLE_ROWS`` and prints, per stage, the sum of its wall times over the
 rows; the whole table is timed REPEATS times and each stage keeps its
 best sum.  The expwin package is the one on the import path, so two
-checkouts compare with::
+checkouts with the same stages compare with::
 
     PYTHONPATH=/path/to/other/checkout/src python tools/stage_times.py
     PYTHONPATH=src python tools/stage_times.py
+
+A checkout whose ``full_report`` has other stages is timed with its own
+copy of this script.
 """
 import time
+
+import numpy as np
 
 from expwin import TABLE_ROWS
 from expwin.metrics import (
     F_MAX,
-    N_SAMPLES,
+    N_PANELS,
     PAD_FACTOR,
     energy_leakage,
     half_width_numeric,
     main_lobe_width,
 )
 from expwin.specs import parse_window_spec
-from expwin.spectrum import segment_lobes, spectrum_fft
-from expwin.windows import sample
+from expwin.spectrum import segment_lobes, spectrum_simpson
+from expwin.windows import window_eval
 
 REPEATS = 3
-STAGES = ("sample", "spectrum_fft", "segment_lobes", "energy_leakage", "half_width_numeric")
+STAGES = ("window_eval", "spectrum", "segment_lobes", "energy_leakage", "half_width_numeric")
 
 
 def table_stage_sums():
@@ -40,10 +45,10 @@ def table_stage_sums():
 
     for _, spec in TABLE_ROWS:
         wdef = parse_window_spec(spec)
-        values = timed("sample", sample, wdef, N_SAMPLES)
-        spec_fft = timed("spectrum_fft", spectrum_fft, values, pad_factor=PAD_FACTOR, f_max=F_MAX)
-        seg = timed("segment_lobes", segment_lobes, spec_fft)
-        timed("energy_leakage", energy_leakage, wdef, main_lobe_width(seg))
+        w = timed("window_eval", window_eval, wdef, np.linspace(0.0, 1.0, N_PANELS + 1))
+        spec_s = timed("spectrum", spectrum_simpson, w, F_MAX, int(F_MAX * PAD_FACTOR) + 1)
+        seg = timed("segment_lobes", segment_lobes, spec_s)
+        timed("energy_leakage", energy_leakage, w, main_lobe_width(seg))
         timed("half_width_numeric", half_width_numeric, wdef)
     return sums
 
