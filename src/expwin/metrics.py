@@ -11,13 +11,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernels import kernel_max
-from .spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_simpson
+from .spectrum import LobeSegmentation, NoNullsFoundError, Spectrum, _band_dft, _simpson_weights
+from .spectrum import segment_lobes
 from .windows import ExpKernelWindow, WindowDef, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
 N_PANELS = 8192           # Simpson panels of the one-second record; nodes k/N_PANELS, k = 0..N_PANELS
 PAD_FACTOR = 128          # spectrum bins per Hz
-F_MAX = 500.0             # Hz, top of the spectrum that is segmented
+F_MAX = 500.0             # Hz, top of the spectrum that is segmented if no lobe before reaches -60 dB
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
 
 
@@ -73,6 +74,29 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     return max(100.0 * (1.0 - lobe_energy / total_energy), 0.0)
 
 
+def _band_lobes(w: np.ndarray) -> LobeSegmentation:
+    """Lobes of the Simpson spectrum of the nodes ``w`` at k/PAD_FACTOR Hz, up to F_MAX at most.
+
+    The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) until
+    it holds a peak below DECAY_THRESHOLD_DB, the last lobe a metric reads.
+    A lobe's null and peak depend only on its own bins and their neighbours,
+    so these are the whole band's first lobes; only the whole band raises.
+    """
+    g = _simpson_weights(N_PANELS) * w
+    size = int(F_MAX * PAD_FACTOR) + 1
+    amps = np.empty(0, dtype=complex)
+    for first in range(0, size, N_PANELS):
+        amps = np.concatenate((amps, _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)))[:size]
+        try:
+            seg = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps))
+        except NoNullsFoundError:
+            if amps.size == size:
+                raise
+            continue
+        if amps.size == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
+            return seg
+
+
 def first_sidelobe(seg: LobeSegmentation) -> tuple:
     """Height (dB) and width (Hz) of the first sidelobe."""
     if seg.nulls.size < 2 or seg.peak_db.size < 1:
@@ -97,16 +121,15 @@ def decay_scale(seg: LobeSegmentation) -> float:
     return float(seg.peak_freqs[first])
 
 
-def _bisect_crossing(wdef: WindowDef, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Root of W(t) - sqrt(2)/2 on [lo, hi], where the sign changes."""
+def _bisect_crossings(wdef: WindowDef, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Sign-change roots of W(t) - sqrt(2)/2 on the intervals [lo_i, hi_i], each bisected as if alone."""
     f_lo = window_eval(wdef, lo) - HALF_AMPLITUDE
-    while hi - lo > tol:
+    while (open_ := hi - lo > tol).any():
         mid = 0.5 * (lo + hi)
         f_mid = window_eval(wdef, mid) - HALF_AMPLITUDE
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        up = open_ & ((f_lo < 0) == (f_mid < 0))
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi = np.where(open_ & ~up, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -116,14 +139,17 @@ def half_width_numeric(wdef: WindowDef) -> float:
     Catalog and reconstructed windows are unimodal or flat-topped, so
     the super-level set is one interval around the peak, where W = 1.
     The scan takes the peak too, so a set narrower than a grid step is
-    found; the edges are located by bisection.
+    found; the edges inside (0, 1) are located by bisection.
     """
     t_peak = kernel_max(wdef.kernel)[0] if isinstance(wdef, ExpKernelWindow) else 0.5
     t = np.sort(np.append(np.linspace(0.0, 1.0, N_PANELS + 1), t_peak))
     idx = np.nonzero(window_eval(wdef, t) >= HALF_AMPLITUDE)[0]
-    left = 0.0 if idx[0] == 0 else _bisect_crossing(wdef, t[idx[0] - 1], t[idx[0]])
-    right = 1.0 if idx[-1] == t.size - 1 else _bisect_crossing(wdef, t[idx[-1]], t[idx[-1] + 1])
-    return float(10.0 * (right - left))
+    before = np.array([idx[0] - 1, idx[-1]])  # scan point before each edge
+    inner = (before >= 0) & (before < t.size - 1)
+    edges = np.array([0.0, 1.0])
+    if inner.any():
+        edges[inner] = _bisect_crossings(wdef, t[before[inner]], t[before[inner] + 1])
+    return float(10.0 * (edges[1] - edges[0]))
 
 
 def half_width_analytic(n: float) -> float:
@@ -141,7 +167,7 @@ def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
     """Run the whole pipeline for one window."""
     try:
         w = window_eval(wdef, np.linspace(0.0, 1.0, N_PANELS + 1))
-        seg = segment_lobes(spectrum_simpson(w, F_MAX, int(F_MAX * PAD_FACTOR) + 1))
+        seg = _band_lobes(w)
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)
         return MetricsReport(

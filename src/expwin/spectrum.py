@@ -6,7 +6,7 @@ with frequencies in Hz.  A Riemann sum over the sampled window
 nodes k/P, k = 0..P (``spectrum_simpson``; ``spectrum_quadrature`` on a dense
 grid is the oracle) both evaluate an evenly spaced band from 0 Hz with one
 chirp-z transform, whose chirp and kernel FFT are cached for the last band
-shape; bands of one shape, such as the table rows, share them.
+shape; the table rows build their bands in chunks of one shape and share them.
 """
 from __future__ import annotations
 
@@ -65,11 +65,11 @@ class LobeSegmentation:
 def _chirp_plan(n: int, m: int, a: float) -> tuple:
     """Read-only chirp exp(i*pi*a*k^2), k < max(n, m), and FFT of the Bluestein kernel.
 
-    The 29 table rows share one plan, and so do repeated CLI spectra with
-    the same --n, --pad and --fmax.  Only the last plan is kept, and it is
-    held until a band of another shape replaces it: 16 bytes times
-    max(n, m) plus the power of two >= n + m - 1, about 200 MB for a
-    quadrature band to 32768 Hz at 128 bins per Hz.
+    Only the last plan is kept, until a band of another shape replaces it:
+    16 bytes times max(n, m) plus the power of two >= n + m - 1.  The table
+    rows' chunks of 8192 bins over 8193 nodes share one, about 0.4 MB
+    (n + m - 1 = 16384, no padding); a quadrature band to 32768 Hz at 128
+    bins per Hz holds about 200 MB.
     """
     size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
     k2 = np.arange(max(n, m), dtype=float) ** 2
@@ -82,24 +82,27 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     return chirp, kernel_fft
 
 
-def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
-    """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = 0..m-1.
+def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np.ndarray:
+    """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = first..first+m-1.
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
     a = dt*df, done by power-of-two FFTs.  The chirp and the kernel FFT
-    depend only on (n, m, a) and come from ``_chirp_plan``.  The chirp
-    phase a*k^2 is reduced mod 2 before multiplying by pi, so it stays
-    exact whenever a is a power of two; otherwise its absolute error grows
-    with a*k^2, which is why values above 2^24 raise ValueError.
+    depend only on (n, m, a) and come from ``_chirp_plan``; ``first`` > 0
+    turns g_k by exp(2*pi*i*first*a*k) first.  The phases a*k^2 and
+    first*a*k are reduced mod 2 and mod 1, so they stay exact whenever a is
+    a power of two; otherwise their absolute error grows with the phase,
+    which is why values above 2^24 raise ValueError.
     """
     n = g.size
-    phase_max = dt * df * max(n, m) ** 2
+    phase_max = dt * df * max(max(n, m) ** 2, first * n)
     if phase_max > 2.0 ** 24:
         raise ValueError(
-            f"band too sparse for the chirp-z phase: dt*df*max(n,m)^2 = {phase_max:.3g} > 2^24;"
+            f"band too sparse for the chirp-z phase: dt*df*max(max(n,m)^2, first*n) = {phase_max:.3g} > 2^24;"
             " use more frequencies or a lower f_max"
         )
+    if first:
+        g = g * np.exp(2j * np.pi * np.fmod(first * (dt * df) * np.arange(n), 1.0))
     chirp, kernel_fft = _chirp_plan(n, m, dt * df)
     conv = np.fft.fft(g * chirp[:n], kernel_fft.size)
     conv *= kernel_fft

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel
+from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_max
 from expwin.metrics import (
     DECAY_THRESHOLD_DB,
     HALF_AMPLITUDE,
@@ -22,8 +22,15 @@ from expwin.metrics import (
     main_lobe_width,
 )
 from expwin.specs import parse_window_spec
-from expwin.spectrum import LobeSegmentation, _simpson_weights, segment_lobes, spectrum_simpson
-from expwin.table import TABLE_ROWS
+from expwin.spectrum import (
+    LobeSegmentation,
+    NoNullsFoundError,
+    _chirp_plan,
+    _simpson_weights,
+    segment_lobes,
+    spectrum_simpson,
+)
+from expwin.table import TABLE_ROWS, compute_table
 from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, window_eval
 
 KAISER_ALPHA = 8 / math.pi
@@ -199,6 +206,32 @@ class TestHalfWidth:
         left = brentq(f, t_star - 0.01, t_star, xtol=1e-14)
         assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
 
+    @pytest.mark.parametrize(
+        "spec", [spec for _, spec in TABLE_ROWS] + ["exp:poly:m=12,n=13", "exp:poly:m=0.3,n=4"]
+    )
+    def test_matches_one_edge_at_a_time_bisection(self, spec):
+        # the edges are bisected together on 2-element arrays; each must get
+        # the bits of a scalar bisection of its own interval
+        wdef = parse_window_spec(spec)
+
+        def bisect(lo, hi):
+            f_lo = window_eval(wdef, lo) - HALF_AMPLITUDE
+            while hi - lo > 1e-8:
+                mid = 0.5 * (lo + hi)
+                f_mid = window_eval(wdef, mid) - HALF_AMPLITUDE
+                if (f_lo < 0) == (f_mid < 0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        t_peak = kernel_max(wdef.kernel)[0] if isinstance(wdef, ExpKernelWindow) else 0.5
+        t = np.sort(np.append(np.linspace(0.0, 1.0, N_PANELS + 1), t_peak))
+        idx = np.nonzero(window_eval(wdef, t) >= HALF_AMPLITUDE)[0]
+        left = 0.0 if idx[0] == 0 else bisect(t[idx[0] - 1], t[idx[0]])
+        right = 1.0 if idx[-1] == t.size - 1 else bisect(t[idx[-1]], t[idx[-1] + 1])
+        assert half_width_numeric(wdef) == float(10.0 * (right - left))
+
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
     def test_analytic_matches_bisection(self, n):
         numeric = half_width_numeric(ExpKernelWindow(PolynomialKernel(n, n)))
@@ -257,6 +290,45 @@ class TestFullReport:
             # the spectrum of this wrapped window has no local minimum
             wdef = ExpKernelWindow(CatalogWindow("poisson", (("tau", 0.05),)))
             full_report(wdef, label="poisson probe")
+
+
+class TestChunkedBand:
+    """full_report stops its band at the chunk that holds the -60 dB lobe."""
+
+    @pytest.mark.parametrize("label, spec", TABLE_ROWS)
+    def test_table_row_matches_whole_band(self, label, spec):
+        wdef = parse_window_spec(spec)
+        seg = _segment(wdef)
+        omega0 = main_lobe_width(seg)
+        want = (
+            omega0,
+            energy_leakage(_nodes(wdef), omega0),
+            *first_sidelobe(seg),
+            decay_scale(seg),
+            half_width_numeric(wdef),
+        )
+        got = tuple(full_report(wdef).as_dict().values())
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "spec, cause, message",
+        [
+            ("exp:win:triangular", NotConvergedError, "up to the last null at 12.4571 Hz"),
+            ("exp:poly:m=0.1035,n=1.5598", NoNullsFoundError, "no spectral local minimum"),
+        ],
+    )
+    def test_errors_come_from_whole_band(self, spec, cause, message):
+        with pytest.raises(MetricsError, match=message) as info:
+            full_report(parse_window_spec(spec))
+        assert isinstance(info.value.__cause__, cause)
+
+    def test_table_builds_one_plan(self):
+        _chirp_plan.cache_clear()
+        compute_table()
+        assert _chirp_plan.cache_info().currsize == 1
+        assert _chirp_plan.cache_info().misses == 1
+        _chirp_plan(N_PANELS + 1, N_PANELS, 2.0 ** -20)
+        assert _chirp_plan.cache_info().misses == 1
 
 
 @pytest.fixture(scope="module")

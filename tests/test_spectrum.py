@@ -107,6 +107,30 @@ class TestChirpPlan:
             direct = np.sum(g * np.exp(2j * np.pi * (j * df) * (k * dt)))
             assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
 
+    @pytest.mark.parametrize("c", range(1, 8))
+    def test_band_from_later_bin_matches_slice_of_whole_band(self, c):
+        # the chunks of a table row: 8193 nodes, 8192 bins, dt*df = 2^-20
+        g = np.random.default_rng(c).standard_normal(8193)
+        first = 8192 * c
+        got = _band_dft(g, 1 / 8192, 1 / 128, 8192, first)
+        want = _band_dft(g, 1 / 8192, 1 / 128, first + 8192)[first:]
+        assert np.max(np.abs(got - want)) < 1e-12 * np.sum(np.abs(g))
+
+    def test_band_from_later_bin_non_power_of_two_step(self):
+        rng = np.random.default_rng(6)
+        n, dt, df, m, first = 777, 1 / 777, 0.3, 500, 1234
+        g = rng.standard_normal(n)
+        got = _band_dft(g, dt, df, m, first)
+        k = np.arange(n)
+        for j in (0, 1, 123, 256, 499):
+            direct = np.sum(g * np.exp(2j * np.pi * ((first + j) * df) * (k * dt)))
+            assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
+
+    def test_band_start_beyond_ramp_phase_rejected(self):
+        # first*dt*df*n = 2^30 * 2^-7 * 64 = 2^29
+        with pytest.raises(ValueError, match="chirp-z phase"):
+            _band_dft(np.ones(64), 1 / 64, 0.5, 40, first=2 ** 30)
+
 
 class TestSpectrumQuadrature:
     def test_rectangular_null_at_integer(self):
