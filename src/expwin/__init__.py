@@ -11,7 +11,6 @@ from .kernels import (
     PolynomialKernel,
     ScaledSineKernel,
     kernel_eval,
-    kernel_max,
 )
 from .windows import (
     CATALOG,

@@ -6,10 +6,11 @@ that underflows to exactly 0 in double precision is accepted and gives
 W = 0 there.  Three families are supported: two-exponent polynomials
 t^m (1-t)^n, scaled sines c*sin(pi*t), and catalog windows
 (``windows.CatalogWindow``), where the window itself acts as the kernel.
+Each finds its ``peak`` (t*, B(t*)) when it is built; t* is m/(m+n) or 1/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
@@ -24,16 +25,21 @@ class InvalidKernelError(ValueError):
 
 @dataclass(frozen=True)
 class PolynomialKernel:
-    """B(t) = t^m (1-t)^n with m, n > 0."""
+    """B(t) = t^m (1-t)^n with m, n > 0 and a positive B(t*)."""
 
     m: float
     n: float
+    peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.m > 0 and self.n > 0):
             raise InvalidKernelError(
                 f"polynomial kernel requires m > 0 and n > 0, got m={self.m}, n={self.n}"
             )
+        t_star = float(self.m / (self.m + self.n))
+        object.__setattr__(self, "peak", (t_star, float(kernel_eval(self, t_star))))
+        if not self.peak[1] > 0.0:
+            raise InvalidKernelError(f"kernel {self!r} has non-positive maximum {self.peak[1]}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,12 @@ class ScaledSineKernel:
     """B(t) = c * sin(pi*t) with c > 0."""
 
     c: float = 1.0
+    peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.c > 0:
             raise InvalidKernelError(f"sine kernel requires c > 0, got c={self.c}")
+        object.__setattr__(self, "peak", (0.5, float(kernel_eval(self, 0.5))))
 
 
 KernelSpec = Union[PolynomialKernel, ScaledSineKernel, "CatalogWindow"]
@@ -80,16 +88,3 @@ def kernel_eval(spec: KernelSpec, t):
         raise InvalidKernelError(f"kernel {spec!r} is negative or NaN inside (0,1)")
     return out[()]
 
-
-def kernel_max(spec: KernelSpec) -> Tuple[float, float]:
-    """Locate the maximum of B(t) on (0, 1).
-
-    Returns ``(t_star, b_max)`` in closed form: t_star = m/(m+n) for
-    polynomial kernels, and 1/2 for scaled sines and catalog windows,
-    which are all symmetric about 1/2 and peak there.
-    """
-    t_star = spec.m / (spec.m + spec.n) if isinstance(spec, PolynomialKernel) else 0.5
-    b_max = kernel_eval(spec, t_star)
-    if not b_max > 0.0:
-        raise InvalidKernelError(f"kernel {spec!r} has non-positive maximum {b_max}")
-    return float(t_star), float(b_max)

@@ -10,16 +10,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .kernels import kernel_max
 from .spectrum import LobeSegmentation, NoNullsFoundError, Spectrum, _band_dft, _simpson_weights
 from .spectrum import segment_lobes
-from .windows import ExpKernelWindow, WindowDef, window_eval
+from .windows import WindowDef, window_eval
 
 HALF_AMPLITUDE = math.sqrt(2.0) / 2.0
 N_PANELS = 8192           # Simpson panels of the one-second record; nodes k/N_PANELS, k = 0..N_PANELS
 PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented if no lobe before reaches -60 dB
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
+BISECT_TOL = 1e-8         # width of the final bracket of a half-width edge
 
 
 class InsufficientLobesError(RuntimeError):
@@ -121,10 +121,10 @@ def decay_scale(seg: LobeSegmentation) -> float:
     return float(seg.peak_freqs[first])
 
 
-def _bisect_crossings(wdef: WindowDef, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _bisect_crossings(wdef: WindowDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sign-change roots of W(t) - sqrt(2)/2 on the intervals [lo_i, hi_i], each bisected as if alone."""
     f_lo = window_eval(wdef, lo) - HALF_AMPLITUDE
-    while (open_ := hi - lo > tol).any():
+    while (open_ := hi - lo > BISECT_TOL).any():
         mid = 0.5 * (lo + hi)
         f_mid = window_eval(wdef, mid) - HALF_AMPLITUDE
         up = open_ & ((f_lo < 0) == (f_mid < 0))
@@ -137,18 +137,13 @@ def half_width_numeric(wdef: WindowDef) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
     Catalog and reconstructed windows are unimodal or flat-topped, so
-    the super-level set is one interval around the peak, where W = 1.
-    The scan takes the peak too, so a set narrower than a grid step is
-    found; the edges inside (0, 1) are located by bisection.
+    the super-level set is one interval around the peak t*, where W = 1.
+    Its edges are bisected on [0, t*] and [t*, 1]; an end where W is still
+    at least sqrt(2)/2 is itself the edge.
     """
-    t_peak = kernel_max(wdef.kernel)[0] if isinstance(wdef, ExpKernelWindow) else 0.5
-    t = np.sort(np.append(np.linspace(0.0, 1.0, N_PANELS + 1), t_peak))
-    idx = np.nonzero(window_eval(wdef, t) >= HALF_AMPLITUDE)[0]
-    before = np.array([idx[0] - 1, idx[-1]])  # scan point before each edge
-    inner = (before >= 0) & (before < t.size - 1)
-    edges = np.array([0.0, 1.0])
-    if inner.any():
-        edges[inner] = _bisect_crossings(wdef, t[before[inner]], t[before[inner] + 1])
+    ends = np.array([0.0, 1.0])
+    edges = _bisect_crossings(wdef, np.array([0.0, wdef.peak[0]]), np.array([wdef.peak[0], 1.0]))
+    edges = np.where(window_eval(wdef, ends) >= HALF_AMPLITUDE, ends, edges)
     return float(10.0 * (edges[1] - edges[0]))
 
 

@@ -4,17 +4,18 @@ All windows live on the unit interval: W(t) is given by its formula for
 t in [0, 1] and is identically zero outside.  Windows built from a
 kernel B(t) take the form W(t) = exp(1/B_max - 1/B(t)), which vanishes
 with all derivatives at both endpoints.  A ``CatalogWindow`` checks its
-id and parameters when it is built, so evaluating one raises nothing.
+id and parameters and finds its ``peak`` (1/2, W(1/2)) when it is built, so
+evaluating one raises nothing; an exponential window peaks at its kernel's t*.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_eval, kernel_max
+from .kernels import KernelSpec, kernel_eval
 
 # exp() underflows to 0 below roughly exp(-745); beyond that the true
 # window value is indistinguishable from zero in double precision.
@@ -68,7 +69,8 @@ def _w_poisson(t, p):
 def _w_kaiser(t, p):
     alpha = p["alpha"]
     arg = np.pi * alpha * np.sqrt(np.clip(1.0 - (2.0 * t - 1.0) ** 2, 0.0, None))
-    return np.i0(arg) / float(np.i0(np.pi * alpha))
+    i0 = np.i0(np.append(arg, np.pi * alpha))  # one call: np.i0 has a large fixed cost
+    return i0[:-1] / i0[-1]
 
 
 def _w_tukey(t, p):
@@ -129,6 +131,7 @@ class CatalogWindow:
 
     window_id: str
     params: Tuple[Tuple[str, float], ...] = ()
+    peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window_id not in CATALOG:
@@ -142,8 +145,10 @@ class CatalogWindow:
                 bound = f"> {low:g}" if high == math.inf else f"in ({low:g},{high:g})"
                 raise BadParameterError(f"{self.window_id} {key} must be {bound}, got {value}")
         with np.errstate(all="ignore"):
-            if not np.isfinite(catalog_eval(self, 0.5)):
-                raise BadParameterError(f"{self.window_id} {dict(self.params)} gives a non-finite W(1/2)")
+            w_half = float(catalog_eval(self, 0.5))
+        if not math.isfinite(w_half):
+            raise BadParameterError(f"{self.window_id} {dict(self.params)} gives a non-finite W(1/2)")
+        object.__setattr__(self, "peak", (0.5, w_half))
 
 
 def catalog_eval(w: CatalogWindow, t):
@@ -165,6 +170,10 @@ def catalog_eval(w: CatalogWindow, t):
 class ExpKernelWindow:
     kernel: KernelSpec
 
+    @property
+    def peak(self) -> Tuple[float, float]:
+        return self.kernel.peak[0], 1.0
+
 
 WindowDef = Union[CatalogWindow, ExpKernelWindow]
 
@@ -182,7 +191,7 @@ def exp_window_eval(kernel: KernelSpec, t):
     underflow threshold.  A scalar ``t`` gives a numpy float64, an array
     ``t`` an array of its shape.
     """
-    _, b_max = kernel_max(kernel)
+    b_max = kernel.peak[1]
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     interior = (t > 0.0) & (t < 1.0)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_max
+from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import half_width_analytic, half_width_numeric
 from expwin.specs import parse_window_spec
 from expwin.spectrum import segment_lobes, spectrum_fft, spectrum_quadrature
@@ -204,7 +204,7 @@ def test_criterion_6_property_suite(table):
         failures.append("half width not decreasing in n")
 
     for m, n in ((1.0, 2.0), (2.0, 1.0), (0.7, 1.9)):
-        t_star, _ = kernel_max(PolynomialKernel(m, n))
+        t_star, _ = PolynomialKernel(m, n).peak
         if abs(t_star - m / (m + n)) > 1e-12:
             failures.append(f"argmax m={m},n={n}")
     _report("criterion 6: property suite", not failures, "; ".join(failures))

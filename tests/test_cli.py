@@ -344,6 +344,13 @@ class TestMetricsCommand:
         assert out == ""
         assert err.startswith("error: ") and "no_such_dir" in err
 
+    def test_underflowing_kernel_fails_when_parsed(self, capsys):
+        # (1/2)^1200 underflows, so the kernel has no positive maximum
+        code, out, err = run_cli(capsys, "metrics", "exp:poly:m=600,n=600")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: kernel PolynomialKernel(m=600.0, n=600.0)")
+
     def test_wrapped_planck_taper(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "exp:win:planck_taper")
         assert code == 0

@@ -7,9 +7,8 @@ from expwin.kernels import (
     PolynomialKernel,
     ScaledSineKernel,
     kernel_eval,
-    kernel_max,
 )
-from expwin.windows import CATALOG, CatalogWindow
+from expwin.windows import CATALOG, CatalogWindow, catalog_eval
 
 
 class TestKernelEval:
@@ -51,37 +50,59 @@ class TestKernelEval:
         with pytest.raises(InvalidKernelError):
             ScaledSineKernel(0.0)
 
+    def test_underflowing_maximum_rejected_when_built(self):
+        # (1/2)^1200 underflows to 0, so B(t*) is not positive
+        with pytest.raises(InvalidKernelError, match="non-positive maximum"):
+            PolynomialKernel(600, 600)
+
     def test_endpoint_limits_nonnegative(self):
         for k in (PolynomialKernel(0.3, 2.0), ScaledSineKernel(0.5), CatalogWindow("welch")):
             assert kernel_eval(k, 1e-9) >= 0.0
             assert kernel_eval(k, 1 - 1e-9) >= 0.0
 
 
+class TestKernelPeak:
+    def test_polynomial_peak_is_exact(self):
+        k = PolynomialKernel(2, 1)
+        assert k.peak == (2 / 3, kernel_eval(k, 2 / 3))
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 3.7])
+    def test_scaled_sine_peak_is_c(self, c):
+        assert ScaledSineKernel(c).peak == (0.5, c)
+
+    def test_peak_leaves_equality_hash_and_repr_alone(self):
+        assert PolynomialKernel(2, 1) == PolynomialKernel(2, 1)
+        assert hash(ScaledSineKernel(2.0)) == hash(ScaledSineKernel(2.0))
+        assert repr(PolynomialKernel(2, 1)) == "PolynomialKernel(m=2, n=1)"
+        assert repr(CatalogWindow("hann")) == "CatalogWindow(window_id='hann', params=())"
+
+
 class TestKernelMax:
     def test_polynomial_symmetric(self):
-        t_star, b_max = kernel_max(PolynomialKernel(1, 1))
+        t_star, b_max = PolynomialKernel(1, 1).peak
         assert t_star == 0.5
         assert b_max == pytest.approx(0.25, abs=1e-15)
 
     def test_polynomial_asymmetric_closed_form(self):
-        t_star, b_max = kernel_max(PolynomialKernel(2, 1))
+        t_star, b_max = PolynomialKernel(2, 1).peak
         assert t_star == pytest.approx(2 / 3, abs=1e-15)
         assert b_max == pytest.approx(4 / 27, rel=1e-14)
 
     def test_scaled_sine(self):
-        t_star, b_max = kernel_max(ScaledSineKernel(1.0))
+        t_star, b_max = ScaledSineKernel(1.0).peak
         assert t_star == pytest.approx(0.5, abs=1e-10)
         assert b_max == pytest.approx(1.0, abs=1e-12)
 
     def test_wrapped_flat_top_plateau(self):
-        _, b_max = kernel_max(CatalogWindow("tukey", (("alpha", 0.5),)))
+        _, b_max = CatalogWindow("tukey", (("alpha", 0.5),)).peak
         assert b_max == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("wid", sorted(CATALOG))
     def test_wrapped_catalog_peaks_at_midpoint(self, wid):
         k = CatalogWindow(wid)
-        t_star, b_max = kernel_max(k)
+        t_star, b_max = k.peak
         assert t_star == 0.5 and b_max == pytest.approx(1.0, abs=1e-15)
+        assert k.peak == (0.5, catalog_eval(k, 0.5))
         assert np.all(kernel_eval(k, np.linspace(0, 1, 10001)) <= b_max)
 
     @given(
@@ -90,7 +111,7 @@ class TestKernelMax:
     )
     def test_max_is_local_max(self, m, n):
         k = PolynomialKernel(m, n)
-        t_star, b_max = kernel_max(k)
+        t_star, b_max = k.peak
         assert 0 < t_star < 1
         for dt in (-1e-6, 1e-6):
             assert kernel_eval(k, t_star + dt) <= b_max + 1e-12

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_max
+from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import (
     DECAY_THRESHOLD_DB,
     HALF_AMPLITUDE,
@@ -32,6 +33,7 @@ from expwin.spectrum import (
 )
 from expwin.table import TABLE_ROWS, compute_table
 from expwin.windows import CATALOG, CatalogWindow, ExpKernelWindow, catalog, window_eval
+from strategies import catalog_windows, kernels
 
 KAISER_ALPHA = 8 / math.pi
 
@@ -210,8 +212,9 @@ class TestHalfWidth:
         "spec", [spec for _, spec in TABLE_ROWS] + ["exp:poly:m=12,n=13", "exp:poly:m=0.3,n=4"]
     )
     def test_matches_one_edge_at_a_time_bisection(self, spec):
-        # the edges are bisected together on 2-element arrays; each must get
-        # the bits of a scalar bisection of its own interval
+        # the edges are bisected together on 2-element arrays, from the peak
+        # t* out to each end; each must get the bits of a scalar bisection of
+        # its own interval, and an end where W >= sqrt(2)/2 is the edge
         wdef = parse_window_spec(spec)
 
         def bisect(lo, hi):
@@ -225,12 +228,24 @@ class TestHalfWidth:
                     hi = mid
             return 0.5 * (lo + hi)
 
-        t_peak = kernel_max(wdef.kernel)[0] if isinstance(wdef, ExpKernelWindow) else 0.5
-        t = np.sort(np.append(np.linspace(0.0, 1.0, N_PANELS + 1), t_peak))
-        idx = np.nonzero(window_eval(wdef, t) >= HALF_AMPLITUDE)[0]
-        left = 0.0 if idx[0] == 0 else bisect(t[idx[0] - 1], t[idx[0]])
-        right = 1.0 if idx[-1] == t.size - 1 else bisect(t[idx[-1]], t[idx[-1] + 1])
+        t_peak = wdef.peak[0]
+        left = 0.0 if window_eval(wdef, 0.0) >= HALF_AMPLITUDE else bisect(0.0, t_peak)
+        right = 1.0 if window_eval(wdef, 1.0) >= HALF_AMPLITUDE else bisect(t_peak, 1.0)
         assert half_width_numeric(wdef) == float(10.0 * (right - left))
+
+    @settings(deadline=None, max_examples=60)
+    @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
+    def test_matches_brentq_from_the_peak(self, wdef):
+        # unimodality: W - sqrt(2)/2 changes sign once on each side of the
+        # peak, so brentq from t* finds the same edges the bisection does
+        t_peak = wdef.peak[0]
+
+        def f(t):
+            return window_eval(wdef, t) - HALF_AMPLITUDE
+
+        left = 0.0 if f(0.0) >= 0 else brentq(f, 0.0, t_peak, xtol=1e-14)
+        right = 1.0 if f(1.0) >= 0 else brentq(f, t_peak, 1.0, xtol=1e-14)
+        assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
 
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
     def test_analytic_matches_bisection(self, n):

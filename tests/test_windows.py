@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import i0 as scipy_i0
 
-from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_eval, kernel_max
+from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_eval
 from expwin.windows import (
     CATALOG,
     BadParameterError,
@@ -170,9 +170,16 @@ class TestProperties:
     @given(kernel=kernels(), t=st.lists(st.floats(-0.5, 1.5), max_size=20))
     def test_exp_window_is_one_at_kernel_maximum(self, kernel, t):
         wdef = ExpKernelWindow(kernel)
-        t_star, _ = kernel_max(kernel)
+        t_star, _ = kernel.peak
         assert window_eval(wdef, t_star) == 1.0
         assert window_eval(wdef, np.array([*t, t_star, *t]))[len(t)] == 1.0
+
+    @settings(deadline=None)
+    @given(kernel=kernels())
+    def test_exp_window_peak_is_kernel_peak_with_value_one(self, kernel):
+        wdef = ExpKernelWindow(kernel)
+        assert wdef.peak == (kernel.peak[0], 1.0)
+        assert window_eval(wdef, wdef.peak[0]) == 1.0
 
     @settings(deadline=None)
     @given(

@@ -36,6 +36,8 @@ EXTRA_SPECS = [
     "kaiser:alpha=2.546",
     "tukey:alpha=0.9",
     "exp:win:planck_taper:epsilon=0.1",
+    "exp:poly:m=1,n=2",
+    "exp:poly:m=12,n=13",
 ]
 
 QUAD_BANDS = [[], ["--fmax", "0.29", "--pad", "100"], ["--fmax", "900", "--pad", "3"], ["--fmax", "0.005"]]
@@ -83,6 +85,7 @@ ERROR_ARGVS = [
     ["spectrum", "hann", "--fmax", "40000", "--pad", "2", "--method", "quad"],
     ["spectrum", "exp:poly:m=50,n=51"],
     ["metrics", "exp:win:poisson:tau=0.05"],
+    ["metrics", "exp:poly:m=600,n=600"],
     ["sample", "hann", "--out", "/nonexistent-directory/w.csv"],
     ["spectrum", "hann", "--method", "nope"],
     ["sample", "hann", "--n", "x"],
