@@ -20,6 +20,7 @@ PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented if no lobe before reaches -60 dB
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
 BISECT_TOL = 1e-8         # width of the final bracket of a half-width edge
+BISECT_BITS = 9           # halvings of each half-width bracket per window evaluation
 
 
 class InsufficientLobesError(RuntimeError):
@@ -79,20 +80,32 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
 
     The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) until
     it holds a peak below DECAY_THRESHOLD_DB, the last lobe a metric reads.
-    A lobe's null and peak depend only on its own bins and their neighbours,
-    so these are the whole band's first lobes; only the whole band raises.
+    Each chunk is segmented once, on from the band's last minimum, whose
+    null is then dropped as a repeat.  A lobe's null and peak depend only on
+    its own bins and their neighbours, so these are the whole band's first
+    lobes; only the whole band raises.
     """
     g = _simpson_weights(N_PANELS) * w
     size = int(F_MAX * PAD_FACTOR) + 1
     amps = np.empty(0, dtype=complex)
+    seg, start = None, 0
     for first in range(0, size, N_PANELS):
         amps = np.concatenate((amps, _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)))[:size]
         try:
-            seg = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps))
+            new = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps), start)
         except NoNullsFoundError:
             if amps.size == size:
                 raise
+            start = amps.size - 1  # no bin before it is a minimum
             continue
+        if seg is not None:
+            new = LobeSegmentation(
+                nulls=np.concatenate((seg.nulls, new.nulls[1:])),
+                peak_freqs=np.concatenate((seg.peak_freqs, new.peak_freqs)),
+                peak_db=np.concatenate((seg.peak_db, new.peak_db)),
+                last_min=new.last_min,
+            )
+        seg, start = new, new.last_min
         if amps.size == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
             return seg
 
@@ -121,29 +134,39 @@ def decay_scale(seg: LobeSegmentation) -> float:
     return float(seg.peak_freqs[first])
 
 
-def _bisect_crossings(wdef: WindowDef, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sign-change roots of W(t) - sqrt(2)/2 on the intervals [lo_i, hi_i], each bisected as if alone."""
-    f_lo = window_eval(wdef, lo) - HALF_AMPLITUDE
-    while (open_ := hi - lo > BISECT_TOL).any():
-        mid = 0.5 * (lo + hi)
-        f_mid = window_eval(wdef, mid) - HALF_AMPLITUDE
-        up = open_ & ((f_lo < 0) == (f_mid < 0))
-        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
-        hi = np.where(open_ & ~up, mid, hi)
-    return 0.5 * (lo + hi)
-
-
 def half_width_numeric(wdef: WindowDef) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
     Catalog and reconstructed windows are unimodal or flat-topped, so
     the super-level set is one interval around the peak t*, where W = 1.
-    Its edges are bisected on [0, t*] and [t*, 1]; an end where W is still
-    at least sqrt(2)/2 is itself the edge.
+    Its edges are bisected on [0, t*] and [t*, 1] down to BISECT_TOL, each
+    as if alone; an end where W is still at least sqrt(2)/2 is itself the
+    edge.  One window evaluation serves BISECT_BITS halvings of both
+    brackets: it takes the 2**BISECT_BITS + 1 points those halvings can
+    reach, built level by level as 0.5 * (a + b) like the bisection's own
+    midpoints, and the bisection then walks down them.  So each edge has
+    the bits of a bisection that evaluates one point per step.
     """
-    ends = np.array([0.0, 1.0])
-    edges = _bisect_crossings(wdef, np.array([0.0, wdef.peak[0]]), np.array([wdef.peak[0], 1.0]))
-    edges = np.where(window_eval(wdef, ends) >= HALF_AMPLITUDE, ends, edges)
+    lo, hi = np.array([0.0, wdef.peak[0]]), np.array([wdef.peak[0], 1.0])
+    at_ends = None
+    while at_ends is None or (hi - lo > BISECT_TOL).any():
+        grid = np.empty((2, 2 ** BISECT_BITS + 1))
+        grid[:, 0], grid[:, -1] = lo, hi
+        for level in range(BISECT_BITS):
+            step = 2 ** (BISECT_BITS - level)
+            grid[:, step // 2 :: step] = 0.5 * (grid[:, : -1 : step] + grid[:, step::step])
+        w = window_eval(wdef, grid)
+        if at_ends is None:
+            at_ends = np.array([w[0, 0], w[1, -1]]) >= HALF_AMPLITUDE  # W(0) and W(1)
+        brackets = []
+        for t, below in zip(grid.tolist(), (w < HALF_AMPLITUDE).tolist()):
+            a, b = 0, len(t) - 1
+            while b - a > 1 and t[b] - t[a] > BISECT_TOL:
+                mid = (a + b) // 2
+                a, b = (mid, b) if below[a] == below[mid] else (a, mid)
+            brackets.append((t[a], t[b]))
+        lo, hi = np.array(brackets).T
+    edges = np.where(at_ends, np.array([0.0, 1.0]), 0.5 * (lo + hi))
     return float(10.0 * (edges[1] - edges[0]))
 
 

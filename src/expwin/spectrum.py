@@ -22,26 +22,35 @@ class NoNullsFoundError(RuntimeError):
     """No local minimum of the spectrum exists below the scan limit."""
 
 
+def _db(mag: np.ndarray, dc: float) -> np.ndarray:
+    """20 log10(mag / dc) in place of ``mag``, so no temporaries: dB relative to ``dc``, -inf where mag is 0."""
+    mag /= dc
+    with np.errstate(divide="ignore"):
+        np.log10(mag, out=mag)
+    mag *= 20.0
+    return mag
+
+
 @dataclass
 class Spectrum:
     """Complex spectrum on an evenly spaced band from 0 Hz.
 
-    dB values are relative to the f=0 amplitude, so a zero or
-    non-finite DC value raises ValueError.
+    dB values are relative to the f=0 amplitude ``dc``, so a zero or
+    non-finite DC value raises ValueError; they are computed when read.
     """
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    db: np.ndarray = field(init=False)
+    dc: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mag = np.abs(self.amplitudes)
-        if not (np.isfinite(mag[0]) and mag[0] > 0.0):
-            raise ValueError(f"DC value |W^(0)| = {mag[0]:g} is zero or not finite; dB levels are undefined")
-        mag /= mag[0]  # in place, as below, so no temporaries; db[0] = 20 log10(1) = 0
-        with np.errstate(divide="ignore"):
-            self.db = np.log10(mag, out=mag)
-        self.db *= 20.0
+        self.dc = float(np.abs(self.amplitudes[:1])[0])  # array np.abs: a scalar's can differ in the last bit
+        if not (np.isfinite(self.dc) and self.dc > 0.0):
+            raise ValueError(f"DC value |W^(0)| = {self.dc:g} is zero or not finite; dB levels are undefined")
+
+    @property
+    def db(self) -> np.ndarray:
+        return _db(self.magnitudes, self.dc)
 
     @property
     def df(self) -> float:
@@ -59,6 +68,7 @@ class LobeSegmentation:
     nulls: np.ndarray              # Hz, strictly increasing
     peak_freqs: np.ndarray         # Hz, peak i lies between nulls i and i+1
     peak_db: np.ndarray            # dB relative to the f=0 amplitude
+    last_min: int = -1             # bin of the last null's grid minimum, where a grown band is segmented on
 
 
 @functools.lru_cache(maxsize=1)
@@ -187,33 +197,37 @@ def _parabolic_vertex(x0, h, ym, y0, yp):
         )
 
 
-def segment_lobes(s: Spectrum) -> LobeSegmentation:
+def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
     """Locate spectrum nulls and the sidelobe peaks between them.
 
     Nulls are local minima of |Fhat| on the grid, refined by 3-point
     parabolic interpolation; windows without true spectral zeros still
     yield nulls through their local minima.  Each peak is the first
     largest grid magnitude strictly between consecutive nulls, refined
-    on the dB values.  The whole grid of ``s`` is segmented.
+    on the dB values.  Only bins from ``start`` on are searched for
+    minima, so a band that grows can be segmented one piece at a time:
+    from the ``last_min`` of the segmentation before, whose null is then
+    found again as the first.
     """
     if s.frequencies.size < 3:
         raise NoNullsFoundError(f"a spectrum of {s.frequencies.size} bins has no local minimum")
     if s.df > 0.02 + 1e-12:
         raise ValueError(f"grid spacing {s.df} Hz too coarse for segmentation")
-    freqs, mag, db, h = s.frequencies, s.magnitudes, s.db, s.df
-
-    mins = np.arange(1, mag.size - 1)
-    mins = mins[(mag[mins] < mag[mins - 1]) & (mag[mins] <= mag[mins + 1])]
+    lo = max(start, 1) - 1  # mag, mins and k below count bins from lo
+    mag = np.abs(s.amplitudes[lo:])
+    mins = np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
     if mins.size == 0:
         raise NoNullsFoundError("no spectral local minimum below the scan limit")
+    freqs, h = s.frequencies[lo:], s.df
     nulls = _parabolic_vertex(freqs[mins], h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
 
     # Lobe i runs from mins[i] + 1 to mins[i + 1]; its closing minimum is
     # never its first largest point, since mag[m] < mag[m - 1].  The peak
-    # is the lobe's first index whose magnitude equals the lobe's maximum.
-    span = np.arange(mins[0] + 1, mins[-1] + 1)
+    # is the lobe's first bin whose magnitude equals the lobe's maximum:
+    # of all lobes' such bins, the first at or after the lobe's start.
+    lobes = mag[mins[0] + 1 : mins[-1] + 1]
     starts = mins[:-1] - mins[0]
-    top = np.repeat(np.maximum.reduceat(mag[span], starts), np.diff(mins))
-    k = np.minimum.reduceat(np.where(mag[span] == top, span, mag.size), starts)
-    peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, db[k - 1], db[k], db[k + 1])
-    return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db)
+    tops = np.flatnonzero(lobes == np.repeat(np.maximum.reduceat(lobes, starts), np.diff(mins)))
+    k = mins[0] + 1 + tops[np.searchsorted(tops, starts)]
+    peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, *_db(mag[np.stack((k - 1, k, k + 1))], s.dc))
+    return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db, last_min=lo + int(mins[-1]))

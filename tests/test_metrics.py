@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import sici
 
+from expwin import metrics
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import (
     DECAY_THRESHOLD_DB,
     HALF_AMPLITUDE,
     N_PANELS,
+    PAD_FACTOR,
     InsufficientLobesError,
     MetricsError,
     NotConvergedError,
+    _band_lobes,
     decay_scale,
     energy_leakage,
     first_sidelobe,
@@ -22,10 +26,12 @@ from expwin.metrics import (
     half_width_numeric,
     main_lobe_width,
 )
-from expwin.specs import parse_window_spec
+from expwin.specs import format_window_spec, parse_window_spec
 from expwin.spectrum import (
     LobeSegmentation,
     NoNullsFoundError,
+    Spectrum,
+    _band_dft,
     _chirp_plan,
     _simpson_weights,
     segment_lobes,
@@ -235,6 +241,11 @@ class TestHalfWidth:
 
     @settings(deadline=None, max_examples=60)
     @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
+    def test_drawn_windows_match_one_edge_at_a_time_bisection(self, wdef):
+        self.test_matches_one_edge_at_a_time_bisection(format_window_spec(wdef))
+
+    @settings(deadline=None, max_examples=60)
+    @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
     def test_matches_brentq_from_the_peak(self, wdef):
         # unimodality: W - sqrt(2)/2 changes sign once on each side of the
         # peak, so brentq from t* finds the same edges the bisection does
@@ -336,6 +347,61 @@ class TestChunkedBand:
         with pytest.raises(MetricsError, match=message) as info:
             full_report(parse_window_spec(spec))
         assert isinstance(info.value.__cause__, cause)
+
+    @staticmethod
+    def _check_matches_concatenated_chunks(wdef):
+        # the band _band_lobes stops at, segmented whole from bin 0 after
+        # each chunk: its lobes, or its error, bit for bit
+        w = _nodes(wdef)
+        g = _simpson_weights(N_PANELS) * w
+        chunks = [
+            _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first) for first in range(0, 64001, N_PANELS)
+        ]
+        for count in range(1, len(chunks) + 1):
+            amps = np.concatenate(chunks[:count])[:64001]
+            try:
+                want = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps))
+            except NoNullsFoundError as exc:
+                if count < len(chunks):
+                    continue
+                with pytest.raises(NoNullsFoundError, match=re.escape(str(exc))):
+                    _band_lobes(w)
+                return
+            if count == len(chunks) or (want.peak_db < DECAY_THRESHOLD_DB).any():
+                break
+        got = _band_lobes(w)
+        for key in ("nulls", "peak_freqs", "peak_db"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+        assert got.last_min == want.last_min
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for _, spec in TABLE_ROWS]
+        + [
+            "exp:poly:m=0.1035,n=1.5598",  # no minimum in any chunk: the whole band's error
+            "exp:poly:m=1.1352,n=2.8555",  # the first minimum lies in the second chunk
+            "exp:win:triangular",  # runs to 500 Hz
+        ],
+    )
+    def test_matches_segmentation_of_concatenated_chunks(self, spec):
+        self._check_matches_concatenated_chunks(parse_window_spec(spec))
+
+    @settings(deadline=None, max_examples=25)
+    @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
+    def test_drawn_windows_match_segmentation_of_concatenated_chunks(self, wdef):
+        self._check_matches_concatenated_chunks(wdef)
+
+    def test_table_evaluates_each_window_four_times(self, monkeypatch):
+        # once on the Simpson nodes and three times for the half width
+        calls = []
+
+        def counted(wdef, t):
+            calls.append(wdef)
+            return window_eval(wdef, t)
+
+        monkeypatch.setattr(metrics, "window_eval", counted)
+        compute_table()
+        assert len(calls) <= 4 * len(TABLE_ROWS)
 
     def test_table_builds_one_plan(self):
         _chirp_plan.cache_clear()

@@ -3,11 +3,14 @@
 Runs ``full_report`` itself on every row of ``TABLE_ROWS``, with the names
 it looks up in ``expwin.metrics`` wrapped in timers, and prints each
 stage's self time summed over the rows: its own wall time minus that of
-the wrapped calls inside it, the rule ``bench/tracing.py`` uses.  The
-``full_report`` line is the time spent outside every wrapped call.  The
-half width's bisection evaluates the window through ``window_eval``, so
+the wrapped calls inside it, the rule ``bench/tracing.py`` uses, next to
+its number of calls per table.  The ``full_report`` line is the time spent
+outside every wrapped call.  The half width's multisection evaluates the
+window through ``window_eval``, three grids of 2 x 513 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
-The whole table is timed REPEATS times and each stage keeps its best sum.
+The ``segment_lobes`` line also gives the bins it searched per table: each
+64 Hz chunk once, from the band's last minimum on.  The whole table is
+timed REPEATS times and each stage keeps its best sum.
 The expwin package is the one on the import path, so two checkouts
 compare with::
 
@@ -24,12 +27,19 @@ STAGES = ("window_eval", "_band_dft", "segment_lobes", "energy_leakage", "half_w
 
 
 def table_stage_sums():
-    """Self seconds per stage, summed over the rows of one pass through the table."""
+    """Self seconds and calls per stage, summed over the rows of one pass
+    through the table, and the bins ``segment_lobes`` searched."""
     sums = dict.fromkeys(STAGES, 0.0)
+    calls = dict.fromkeys(STAGES, 0)
+    bins = [0]
     inner = [0.0]  # time of the wrapped calls made so far inside the running call
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
+            calls[stage] += 1
+            if stage == "segment_lobes":
+                start = args[1] if len(args) > 1 else 0  # a checkout whose segment_lobes takes no start
+                bins[0] += args[0].amplitudes.size - max(start, 1) + 1
             outer, inner[0] = inner[0], 0.0
             t0 = time.perf_counter()
             try:
@@ -51,14 +61,16 @@ def table_stage_sums():
     finally:
         for stage, fn in originals.items():
             setattr(metrics, stage, fn)
-    return sums
+    return sums, calls, bins[0]
 
 
 def main():
     runs = [table_stage_sums() for _ in range(REPEATS)]
+    _, calls, bins = runs[0]
     for stage in STAGES:
-        print(f"{stage:20s} {min(run[stage] for run in runs):.3f} s")
-    print(f"{'total':20s} {min(sum(run.values()) for run in runs):.3f} s")
+        line = f"{stage:20s} {min(run[0][stage] for run in runs):.3f} s {calls[stage]:6d} calls"
+        print(line + (f" {bins:8d} bins" if stage == "segment_lobes" else ""))
+    print(f"{'total':20s} {min(sum(run[0].values()) for run in runs):.3f} s")
 
 
 if __name__ == "__main__":
