@@ -67,9 +67,19 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     p = w.size - 1
     g = _simpson_weights(p) * w
     # A circular autocorrelation of length 2P folds lag -P onto lag P only.
-    r = np.fft.irfft(np.abs(np.fft.rfft(g, 2 * p)) ** 2, 2 * p)[: p + 1]
+    power = np.abs(np.fft.rfft(g, 2 * p))
+    power *= power
+    r = np.fft.irfft(power, 2 * p)[: p + 1]
     r[p] = g[0] * g[p]
-    r[1:] *= 2.0 * np.sinc(2.0 * omega0_hz * np.arange(1, p + 1) / p)
+    # 2 sinc(x), x = 2 omega0 d/P, built in place; x > 0 since d >= 1.
+    x = np.arange(1, p + 1, dtype=float)
+    x *= 2.0 * omega0_hz
+    x /= p
+    x *= np.pi
+    sinc = np.sin(x)
+    sinc /= x
+    sinc *= 2.0
+    r[1:] *= sinc
     lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
     total_energy = float(np.dot(g, w))
     return max(100.0 * (1.0 - lobe_energy / total_energy), 0.0)
@@ -78,8 +88,9 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
 def _band_lobes(w: np.ndarray) -> LobeSegmentation:
     """Lobes of the Simpson spectrum of the nodes ``w`` at k/PAD_FACTOR Hz, up to F_MAX at most.
 
-    The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) until
-    it holds a peak below DECAY_THRESHOLD_DB, the last lobe a metric reads.
+    The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) in one
+    array of the full size until it holds a peak below DECAY_THRESHOLD_DB,
+    the last lobe a metric reads.
     Each chunk is segmented once, on from the band's last minimum, whose
     null is then dropped as a repeat.  A lobe's null and peak depend only on
     its own bins and their neighbours, so these are the whole band's first
@@ -87,16 +98,19 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
     """
     g = _simpson_weights(N_PANELS) * w
     size = int(F_MAX * PAD_FACTOR) + 1
-    amps = np.empty(0, dtype=complex)
+    amps = np.empty(size, dtype=complex)  # filled chunk by chunk; pages past the last are never touched
     seg, start = None, 0
     for first in range(0, size, N_PANELS):
-        amps = np.concatenate((amps, _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)))[:size]
+        end = min(first + N_PANELS, size)
+        amps[first:end] = _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)[: end - first]
+        freqs = np.arange(end, dtype=float)
+        freqs /= PAD_FACTOR
         try:
-            new = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps), start)
+            new = segment_lobes(Spectrum(frequencies=freqs, amplitudes=amps[:end]), start)
         except NoNullsFoundError:
-            if amps.size == size:
+            if end == size:
                 raise
-            start = amps.size - 1  # no bin before it is a minimum
+            start = end - 1  # no bin before it is a minimum
             continue
         if seg is not None:
             new = LobeSegmentation(
@@ -106,7 +120,7 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
                 last_min=new.last_min,
             )
         seg, start = new, new.last_min
-        if amps.size == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
+        if end == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
             return seg
 
 

@@ -6,11 +6,15 @@ with frequencies in Hz.  A Riemann sum over the sampled window
 nodes k/P, k = 0..P (``spectrum_simpson``; ``spectrum_quadrature`` on a dense
 grid is the oracle) both evaluate an evenly spaced band from 0 Hz with one
 chirp-z transform, whose chirp and kernel FFT are cached for the last band
-shape; the table rows build their bands in chunks of one shape and share them.
+shape, next to one complex work buffer of the convolution's FFT size that
+every transform of that size reuses; the table rows build their bands in
+chunks of one shape and share all three.
 """
 from __future__ import annotations
 
 import functools
+import mmap
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +80,11 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     """Read-only chirp exp(i*pi*a*k^2), k < max(n, m), and FFT of the Bluestein kernel.
 
     Only the last plan is kept, until a band of another shape replaces it:
-    16 bytes times max(n, m) plus the power of two >= n + m - 1.  The table
-    rows' chunks of 8192 bins over 8193 nodes share one, about 0.4 MB
-    (n + m - 1 = 16384, no padding); a quadrature band to 32768 Hz at 128
-    bins per Hz holds about 200 MB.
+    16 bytes times max(n, m) plus the power of two >= n + m - 1, and
+    ``_work_buffer`` holds 16 bytes times that power of two more.  The table
+    rows' chunks of 8192 bins over 8193 nodes share one, about 0.4 MB with
+    0.26 MB of buffer (n + m - 1 = 16384, no padding); a quadrature band to
+    32768 Hz at 128 bins per Hz holds about 200 MB with 134 MB of buffer.
     """
     size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
     k2 = np.arange(max(n, m), dtype=float) ** 2
@@ -92,17 +97,44 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     return chirp, kernel_fft
 
 
+_WORK_LOCK = threading.Lock()  # held while ``_band_dft`` fills and reads the work buffer
+
+
+@functools.lru_cache(maxsize=1)
+def _work_buffer(size: int) -> np.ndarray:
+    """The complex convolution buffer of FFT size ``size``, kept so a chunked band faults it in once.
+
+    It has its own anonymous mapping, not malloc's heap: a long-lived block
+    there would keep the heap from shrinking back below it, and the rows'
+    transient arrays would fault fresh pages in above it.
+    """
+    return np.frombuffer(mmap.mmap(-1, 16 * size), dtype=complex)
+
+
+def _turn(c: float, n: int) -> np.ndarray:
+    """exp(2*pi*i*fmod(c*k, 1)) for k < n.
+
+    c = p/q exactly, q a power of two; while p*k stays below 2^53 the
+    products c*k are exact, so the turn repeats with period q and only
+    min(q, n) of its points are evaluated.
+    """
+    p, q = c.as_integer_ratio()
+    period = q if q < n and p * n < 2 ** 53 else n
+    return np.resize(np.exp(2j * np.pi * np.fmod(c * np.arange(period), 1.0)), n)
+
+
 def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np.ndarray:
     """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = first..first+m-1.
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
-    a = dt*df, done by power-of-two FFTs.  The chirp and the kernel FFT
-    depend only on (n, m, a) and come from ``_chirp_plan``; ``first`` > 0
-    turns g_k by exp(2*pi*i*first*a*k) first.  The phases a*k^2 and
-    first*a*k are reduced mod 2 and mod 1, so they stay exact whenever a is
-    a power of two; otherwise their absolute error grows with the phase,
-    which is why values above 2^24 raise ValueError.
+    a = dt*df, done by power-of-two FFTs in place in ``_work_buffer``.  The
+    chirp and the kernel FFT depend only on (n, m, a) and come from
+    ``_chirp_plan``; ``first`` > 0 turns g_k by exp(2*pi*i*first*a*k) first.
+    The phases a*k^2 and first*a*k are reduced mod 2 and mod 1, so they stay
+    exact whenever a is a power of two; otherwise their absolute error grows
+    with the phase, which is why values above 2^24 raise ValueError.  The
+    result is a fresh array.
     """
     n = g.size
     phase_max = dt * df * max(max(n, m) ** 2, first * n)
@@ -112,11 +144,16 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
             " use more frequencies or a lower f_max"
         )
     if first:
-        g = g * np.exp(2j * np.pi * np.fmod(first * (dt * df) * np.arange(n), 1.0))
+        g = g * _turn(first * (dt * df), n)
     chirp, kernel_fft = _chirp_plan(n, m, dt * df)
-    conv = np.fft.fft(g * chirp[:n], kernel_fft.size)
-    conv *= kernel_fft
-    return chirp[:m] * np.fft.ifft(conv)[:m]
+    with _WORK_LOCK:
+        buf = _work_buffer(kernel_fft.size)
+        np.multiply(g, chirp[:n], out=buf[:n])
+        buf[n:] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= kernel_fft
+        np.fft.ifft(buf, out=buf)
+        return chirp[:m] * buf[:m]
 
 
 def _band_size(f_max: float, pad_factor: int) -> int:

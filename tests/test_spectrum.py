@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from expwin.spectrum import (
     Spectrum,
     _band_dft,
     _chirp_plan,
+    _turn,
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
@@ -125,6 +128,48 @@ class TestChirpPlan:
         for j in (0, 1, 123, 256, 499):
             direct = np.sum(g * np.exp(2j * np.pi * ((first + j) * df) * (k * dt)))
             assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
+
+    def test_result_does_not_alias_work_buffer(self):
+        rng = np.random.default_rng(7)
+        got = _band_dft(rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192, 8192)
+        before = got.tobytes()
+        _band_dft(rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192, 8192)
+        assert got.tobytes() == before
+
+    def test_threads_match_serial_calls(self):
+        # four threads switching every microsecond contend for the shared work buffer
+        gs = [np.random.default_rng(seed).standard_normal(8193) for seed in range(8, 12)]
+        firsts = [8192 * c for c in range(4)]
+        serial = [[_band_dft(g, 1 / 8192, 1 / 128, 8192, first).tobytes() for first in firsts] for g in gs]
+        results = [None] * len(gs)
+        start = threading.Barrier(len(gs))
+
+        def work(i):
+            start.wait()
+            results[i] = [
+                _band_dft(gs[i], 1 / 8192, 1 / 128, 8192, first).tobytes() for _ in range(5) for first in firsts
+            ]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(gs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want * 5 for want in serial]
+
+    @pytest.mark.parametrize("c", range(1, 8))
+    def test_periodic_turn_matches_full_length(self, c):
+        # the turn of a table row's chunk c: first*dt*df = 8192*c * 2^-20 = c/128
+        ramp = 8192 * c * 2.0 ** -20
+        assert ramp.as_integer_ratio()[1] <= 128  # the periodic path, not a full-length one
+        want = np.exp(2j * np.pi * np.fmod(ramp * np.arange(8193), 1.0))
+        assert _turn(ramp, 8193).tobytes() == want.tobytes()
 
     def test_band_start_beyond_ramp_phase_rejected(self):
         # first*dt*df*n = 2^30 * 2^-7 * 64 = 2^29

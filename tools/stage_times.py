@@ -10,13 +10,16 @@ window through ``window_eval``, three grids of 2 x 513 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
 The ``segment_lobes`` line also gives the bins it searched per table: each
 64 Hz chunk once, from the band's last minimum on.  The whole table is
-timed REPEATS times and each stage keeps its best sum.
+timed REPEATS times and each stage keeps its best sum.  The last line
+gives the minor page faults (``ru_minflt``) of the first pass, which
+faults in every buffer the rows need, and of the pass with the best total.
 The expwin package is the one on the import path, so two checkouts
 compare with::
 
     PYTHONPATH=/path/to/other/checkout/src python tools/stage_times.py
     PYTHONPATH=src python tools/stage_times.py
 """
+import resource
 import time
 
 from expwin import TABLE_ROWS, metrics
@@ -64,13 +67,24 @@ def table_stage_sums():
     return sums, calls, bins[0]
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main():
-    runs = [table_stage_sums() for _ in range(REPEATS)]
+    runs, faults = [], []
+    for _ in range(REPEATS):
+        before = minor_faults()
+        runs.append(table_stage_sums())
+        faults.append(minor_faults() - before)
     _, calls, bins = runs[0]
     for stage in STAGES:
         line = f"{stage:20s} {min(run[0][stage] for run in runs):.3f} s {calls[stage]:6d} calls"
         print(line + (f" {bins:8d} bins" if stage == "segment_lobes" else ""))
-    print(f"{'total':20s} {min(sum(run[0].values()) for run in runs):.3f} s")
+    totals = [sum(run[0].values()) for run in runs]
+    best = totals.index(min(totals))
+    print(f"{'total':20s} {totals[best]:.3f} s")
+    print(f"{'minor faults':20s} {faults[0]:6d} cold {faults[best]:6d} best pass")
 
 
 if __name__ == "__main__":
