@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expwin import table
-from expwin.cli import main
+from expwin.cli import _csv, build_parser, main
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import MetricsError
 from expwin.specs import SpecParseError, format_window_spec, parse_window_spec
@@ -439,3 +440,79 @@ class TestDeterminism:
         capsys.readouterr()
         assert code == 0
         assert path.read_text() == out
+
+
+def _csv_per_cell(header, *columns):
+    """The writer `_csv` replaced, one f-string per cell: the oracle of its bytes."""
+    cells = [[f"{x:.12g}" for x in c.tolist()] for c in columns]
+    return "\n".join([header] + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
+# infinities, NaN, negative zero, the smallest subnormal, the largest
+# subnormal and the smallest normal number
+SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308]
+
+float64s = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+
+
+@st.composite
+def csv_columns(draw):
+    rows, values = draw(st.integers(1, 64)), draw(st.integers(1, 3))
+    column = st.lists(float64s, min_size=rows, max_size=rows).map(np.array)
+    return [draw(column) for _ in range(1 + values)]
+
+
+class TestCsvWriter:
+    @given(columns=csv_columns())
+    def test_matches_per_cell_writer(self, columns):
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        assert _csv(header, *columns) == _csv_per_cell(header, *columns)
+
+    def test_grid_changes_within_a_process(self, capsys):
+        # the grid column's text is kept for the last grid only; each output
+        # must carry its own grid, also when an earlier one comes back
+        runs = [
+            (("spectrum", "hann", "--pad", "128"), np.arange(6401) / 128),
+            (("sample", "hann", "--n", "1000"), np.arange(1000) / 1000),
+            (("spectrum", "hann", "--pad", "128"), np.arange(6401) / 128),
+        ]
+        for argv, grid in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert [r.split(",")[0] for r in out.split("\n")[1:-1]] == [f"{x:.12g}" for x in grid]
+
+
+class TestCachedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_non_default_call_leaves_defaults(self, capsys):
+        code, default, _ = run_cli(capsys, "spectrum", "hann")
+        assert code == 0
+        assert default.count("\n") == 1 + 6401 and default.split("\n")[-2].startswith("50,")
+        code, other, _ = run_cli(capsys, "spectrum", "hann", "--fmax", "3", "--pad", "100", "--method", "quad")
+        assert code == 0
+        assert other.count("\n") == 1 + 301
+        code, again, _ = run_cli(capsys, "spectrum", "hann")
+        assert code == 0
+        assert again == default
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "hann", "--method", "nope"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "sample", "hann", "--n", "4")
+        assert (code, err) == (0, "")
+        assert out.startswith("t,w\n0,")
+
+    def test_out_then_stdout(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        code, out, _ = run_cli(capsys, "spectrum", "hann", "--fmax", "2", "--out", str(path))
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, "spectrum", "hann", "--fmax", "2")
+        assert code == 0
+        assert out == path.read_text()

@@ -15,8 +15,9 @@ with::
 The set covers ``list``; ``table`` as CSV and markdown; ``metrics``, FFT
 ``spectrum`` and ``sample`` for the table rows, the catalog ids, their
 ``exp:win:`` forms and a few more specs; quadrature spectra of the catalog
-ids at four band settings; catalog windows at extreme parameters; and error
-paths.  No invocation allocates more than about 100 MB.  Warnings are
+ids at four band settings; catalog windows at extreme parameters; a run of
+spectra and samples whose grid changes from one invocation to the next; and
+error paths.  No invocation allocates more than about 100 MB.  Warnings are
 printed without their source path, so they compare across checkouts.
 """
 import contextlib
@@ -53,6 +54,16 @@ EXTREME_SPECS = [
     "gaussian:sigma=1e-150",
     "tukey:alpha=1e-320",
     "avci_exp:alpha=1e300",
+]
+
+# The frequency or time grid changes from one invocation to the next and
+# then returns to the default band, in one process.
+GRID_ARGVS = [
+    ["spectrum", "hann", "--pad", "100", "--fmax", "3"],
+    ["spectrum", "hann", "--n", "1000", "--fmax", "20"],
+    ["sample", "hann", "--n", "1000"],
+    ["spectrum", "exp:poly:m=0.05,n=3", "--fmax", "2"],
+    ["spectrum", "hann"],
 ]
 
 ERROR_ARGVS = [
@@ -108,6 +119,7 @@ def invocations():
             yield ["spectrum", wid, "--method", "quad", *band]
     for spec in EXTREME_SPECS:
         yield ["sample", spec, "--n", "4"]
+    yield from GRID_ARGVS
     yield from ERROR_ARGVS
 
 
