@@ -7,7 +7,6 @@ and the six-parameter spectral evaluation suite.
 """
 from .kernels import (
     InvalidKernelError,
-    KernelSpec,
     PolynomialKernel,
     ScaledSineKernel,
     kernel_eval,
@@ -17,10 +16,9 @@ from .windows import (
     BadParameterError,
     CatalogWindow,
     ExpKernelWindow,
+    KernelSpec,
     WindowDef,
     catalog,
-    catalog_eval,
-    exp_window_eval,
     sample,
     window_eval,
 )

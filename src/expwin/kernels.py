@@ -1,31 +1,41 @@
 """Kernel functions B(t) feeding the exponential window construction.
 
-A kernel is any function that is strictly positive on the open unit
+A kernel is a callable B(t) that is strictly positive on the open unit
 interval and approaches a non-negative limit at both endpoints; a value
 that underflows to exactly 0 in double precision is accepted and gives
-W = 0 there.  Three families are supported: two-exponent polynomials
-t^m (1-t)^n, scaled sines c*sin(pi*t), and catalog windows
-(``windows.CatalogWindow``), where the window itself acts as the kernel.
-Each finds its ``peak`` (t*, B(t*)) when it is built; t* is m/(m+n) or 1/2.
+W = 0 there.  Two families live here, two-exponent polynomials
+t^m (1-t)^n and scaled sines c*sin(pi*t); a catalog window
+(``windows.CatalogWindow``) is a callable with a ``peak`` too, and serves
+as a kernel as it is.  Each family finds its ``peak`` (t*, B(t*)) when it
+is built, t* being m/(m+n) or 1/2, and rejects a B(t*) whose reciprocal
+is not finite.  ``kernel_eval`` is the checked way to evaluate any kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Tuple, Union
+from typing import Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .windows import CatalogWindow
 
 
 class InvalidKernelError(ValueError):
     """Kernel parameters or values violate positivity requirements."""
 
 
+def _checked_peak(kernel, t_star: float) -> Tuple[float, float]:
+    """(t*, B(t*)); raises InvalidKernelError unless 1/B(t*) is positive and finite."""
+    b_max = float(kernel_eval(kernel, t_star))
+    if not b_max > 0.0:
+        raise InvalidKernelError(f"kernel {kernel!r} has non-positive maximum {b_max}")
+    if not math.isfinite(1.0 / b_max):
+        raise InvalidKernelError(f"kernel {kernel!r} has maximum {b_max}, whose reciprocal overflows")
+    return t_star, b_max
+
+
 @dataclass(frozen=True)
 class PolynomialKernel:
-    """B(t) = t^m (1-t)^n with m, n > 0 and a positive B(t*)."""
+    """B(t) = t^m (1-t)^n with m, n > 0 and a positive, finite 1/B(t*)."""
 
     m: float
     n: float
@@ -36,15 +46,22 @@ class PolynomialKernel:
             raise InvalidKernelError(
                 f"polynomial kernel requires m > 0 and n > 0, got m={self.m}, n={self.n}"
             )
-        t_star = float(self.m / (self.m + self.n))
-        object.__setattr__(self, "peak", (t_star, float(kernel_eval(self, t_star))))
-        if not self.peak[1] > 0.0:
-            raise InvalidKernelError(f"kernel {self!r} has non-positive maximum {self.peak[1]}")
+        object.__setattr__(self, "peak", _checked_peak(self, float(self.m / (self.m + self.n))))
+
+    def __call__(self, t):
+        # exp(m*ln t + n*ln(1-t)) keeps fractional exponents well defined;
+        # the endpoints are mapped to the limit value 0.
+        t = np.asarray(t, dtype=float)
+        interior = (t > 0.0) & (t < 1.0)
+        out = np.zeros_like(t)
+        ti = t[interior]
+        out[interior] = np.exp(self.m * np.log(ti) + self.n * np.log1p(-ti))
+        return out[()]
 
 
 @dataclass(frozen=True)
 class ScaledSineKernel:
-    """B(t) = c * sin(pi*t) with c > 0."""
+    """B(t) = c * sin(pi*t) with c > 0 and a finite 1/c."""
 
     c: float = 1.0
     peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
@@ -52,39 +69,26 @@ class ScaledSineKernel:
     def __post_init__(self):
         if not self.c > 0:
             raise InvalidKernelError(f"sine kernel requires c > 0, got c={self.c}")
-        object.__setattr__(self, "peak", (0.5, float(kernel_eval(self, 0.5))))
+        object.__setattr__(self, "peak", _checked_peak(self, 0.5))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.asarray(self.c * np.sin(np.pi * np.clip(t, 0.0, 1.0)))
+        out[(t <= 0.0) | (t >= 1.0)] = 0.0
+        return out[()]
 
 
-KernelSpec = Union[PolynomialKernel, ScaledSineKernel, "CatalogWindow"]
-
-
-def kernel_eval(spec: KernelSpec, t):
-    """Evaluate B(t) at ``t`` in [0, 1].
+def kernel_eval(kernel, t):
+    """Evaluate the kernel B(t) at ``t`` in [0, 1].
 
     A scalar ``t`` gives a numpy float64, an array ``t`` an array of its
     shape.  Endpoint values are the one-sided limits (0 for polynomial
     and scaled-sine kernels).  Raises InvalidKernelError if the kernel
     is negative or NaN at a requested interior point.
     """
-    t = np.asarray(t, dtype=float)
-    interior = (t > 0.0) & (t < 1.0)
-    if isinstance(spec, PolynomialKernel):
-        # exp(m*ln t + n*ln(1-t)) keeps fractional exponents well defined;
-        # the endpoints are mapped to the limit value 0.
-        out = np.zeros_like(t)
-        ti = t[interior]
-        out[interior] = np.exp(spec.m * np.log(ti) + spec.n * np.log1p(-ti))
-    elif isinstance(spec, ScaledSineKernel):
-        out = np.asarray(spec.c * np.sin(np.pi * np.clip(t, 0.0, 1.0)))
-        out[(t <= 0.0) | (t >= 1.0)] = 0.0
-    else:
-        from .windows import CatalogWindow, catalog_eval  # windows imports this module
-
-        if not isinstance(spec, CatalogWindow):
-            raise TypeError(f"unknown kernel spec: {spec!r}")
-        out = catalog_eval(spec, t)
-
-    if not np.all(out[interior] >= 0.0):
-        raise InvalidKernelError(f"kernel {spec!r} is negative or NaN inside (0,1)")
-    return out[()]
-
+    out = kernel(t)
+    # Values at and beyond the endpoints are limits and are not checked; the
+    # interior mask is built only when some value fails.
+    if not np.all(out >= 0.0) and not np.all(out[np.greater(t, 0.0) & np.less(t, 1.0)] >= 0.0):
+        raise InvalidKernelError(f"kernel {kernel!r} is negative or NaN inside (0,1)")
+    return out

@@ -3,9 +3,11 @@
 All windows live on the unit interval: W(t) is given by its formula for
 t in [0, 1] and is identically zero outside.  Windows built from a
 kernel B(t) take the form W(t) = exp(1/B_max - 1/B(t)), which vanishes
-with all derivatives at both endpoints.  A ``CatalogWindow`` checks its
-id and parameters and finds its ``peak`` (1/2, W(1/2)) when it is built, so
-evaluating one raises nothing; an exponential window peaks at its kernel's t*.
+with all derivatives at both endpoints.  Every window is a callable W(t)
+with a ``peak`` (t*, W(t*)), and ``window_eval`` is the one entry point
+that evaluates it.  A ``CatalogWindow`` checks its id and parameters and
+finds its ``peak`` (1/2, W(1/2)) when it is built, so evaluating one raises
+nothing; an exponential window peaks at its kernel's t*.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_eval
+from .kernels import PolynomialKernel, ScaledSineKernel, kernel_eval
 
 # exp() underflows to 0 below roughly exp(-745); beyond that the true
 # window value is indistinguishable from zero in double precision.
@@ -127,7 +129,8 @@ _OPEN_RANGES = {("tukey", "alpha"): (0.0, 1.0), ("planck_taper", "epsilon"): (0.
 class CatalogWindow:
     """A catalog window by id and sorted parameters; also the kernel of exp:win: windows.
 
-    Raises BadParameterError on an unknown id or key, a value out of range or a non-finite W(1/2)."""
+    Raises BadParameterError on an unknown id, an unknown or repeated key, a value out of
+    range or a non-finite W(1/2)."""
 
     window_id: str
     params: Tuple[Tuple[str, float], ...] = ()
@@ -136,7 +139,10 @@ class CatalogWindow:
     def __post_init__(self):
         if self.window_id not in CATALOG:
             raise BadParameterError(f"unknown window id {self.window_id!r}")
-        unknown = {key for key, _ in self.params} - set(CATALOG[self.window_id][1])
+        keys = [key for key, _ in self.params]
+        if len(set(keys)) < len(keys):
+            raise BadParameterError(f"{self.window_id} takes each parameter once, got {keys}")
+        unknown = set(keys) - set(CATALOG[self.window_id][1])
         if unknown:
             raise BadParameterError(f"{self.window_id} does not take parameters {sorted(unknown)}")
         for key, value in self.params:
@@ -145,25 +151,24 @@ class CatalogWindow:
                 bound = f"> {low:g}" if high == math.inf else f"in ({low:g},{high:g})"
                 raise BadParameterError(f"{self.window_id} {key} must be {bound}, got {value}")
         with np.errstate(all="ignore"):
-            w_half = float(catalog_eval(self, 0.5))
+            w_half = float(self(0.5))
         if not math.isfinite(w_half):
             raise BadParameterError(f"{self.window_id} {dict(self.params)} gives a non-finite W(1/2)")
         object.__setattr__(self, "peak", (0.5, w_half))
 
+    def __call__(self, t):
+        """W(t), raising nothing; unset parameters take the id's defaults."""
+        fn, defaults, _ = CATALOG[self.window_id]
+        p = {**defaults, **dict(self.params)}
+        t = np.asarray(t, dtype=float)
+        # Formulas see a 1-d array inside [0, 1]: a scalar t gets array arithmetic
+        # (numpy scalar ** and np.i0 differ in the last bit), and none overflows.
+        out = np.asarray(fn(np.clip(t, 0.0, 1.0).reshape(-1), p), dtype=float).reshape(t.shape)
+        out[(t < 0.0) | (t > 1.0)] = 0.0
+        return out[()]
 
-def catalog_eval(w: CatalogWindow, t):
-    """Evaluate a catalog window, checked when built, at ``t``; raises nothing.
 
-    Unset parameters take the id's defaults; W is zero outside [0, 1].  A
-    scalar ``t`` gives a numpy float64, an array ``t`` an array of its shape."""
-    fn, defaults, _ = CATALOG[w.window_id]
-    p = {**defaults, **dict(w.params)}
-    t = np.asarray(t, dtype=float)
-    # Formulas see a 1-d array inside [0, 1]: a scalar t gets array arithmetic
-    # (numpy scalar ** and np.i0 differ in the last bit), and none overflows.
-    out = np.asarray(fn(np.clip(t, 0.0, 1.0).reshape(-1), p), dtype=float).reshape(t.shape)
-    out[(t < 0.0) | (t > 1.0)] = 0.0
-    return out[()]
+KernelSpec = Union[PolynomialKernel, ScaledSineKernel, CatalogWindow]
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,18 @@ class ExpKernelWindow:
     def peak(self) -> Tuple[float, float]:
         return self.kernel.peak[0], 1.0
 
+    def __call__(self, t):
+        """W(t) = exp(1/B_max - 1/B(t)); zero outside (0, 1), wherever B(t) underflows
+        to 0 or 1/B(t) overflows, and where the exponent is below exp()'s underflow."""
+        b_max = self.kernel.peak[1]
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        interior = (t > 0.0) & (t < 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            exponent = 1.0 / b_max - 1.0 / kernel_eval(self.kernel, t[interior])
+        out[interior] = np.where(exponent < -_UNDERFLOW_EXPONENT, 0.0, np.exp(exponent))
+        return out[()]
+
 
 WindowDef = Union[CatalogWindow, ExpKernelWindow]
 
@@ -183,32 +200,10 @@ def catalog(window_id: str, **params: float) -> CatalogWindow:
     return CatalogWindow(window_id, tuple(sorted(params.items())))
 
 
-def exp_window_eval(kernel: KernelSpec, t):
-    """Exponential reconstruction W(t) = exp(1/B_max - 1/B(t)).
-
-    Zero outside (0, 1), wherever B(t) underflows to 0 or 1/B(t)
-    overflows, and wherever the exponent falls below the double-precision
-    underflow threshold.  A scalar ``t`` gives a numpy float64, an array
-    ``t`` an array of its shape.
-    """
-    b_max = kernel.peak[1]
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    interior = (t > 0.0) & (t < 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        exponent = 1.0 / b_max - 1.0 / kernel_eval(kernel, t[interior])
-    out[interior] = np.where(exponent < -_UNDERFLOW_EXPONENT, 0.0, np.exp(exponent))
-    return out[()]
-
-
 def window_eval(wdef: WindowDef, t):
     """Evaluate any WindowDef at ``t``: a numpy float64 for a scalar
     ``t``, an array of its shape for an array ``t``."""
-    if isinstance(wdef, CatalogWindow):
-        return catalog_eval(wdef, t)
-    if isinstance(wdef, ExpKernelWindow):
-        return exp_window_eval(wdef.kernel, t)
-    raise TypeError(f"unknown window definition: {wdef!r}")
+    return wdef(t)
 
 
 def sample(wdef: WindowDef, n_samples: int) -> np.ndarray:

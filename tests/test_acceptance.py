@@ -20,7 +20,6 @@ from expwin.windows import (
     CATALOG,
     ExpKernelWindow,
     catalog,
-    exp_window_eval,
     sample,
     window_eval,
 )
@@ -184,15 +183,15 @@ def test_criterion_6_property_suite(table):
 
     t = np.linspace(0, 1, 1001)
     for n in (0.5, 1.0, 2.0):
-        v = exp_window_eval(PolynomialKernel(n, n), t)
+        v = window_eval(ExpKernelWindow(PolynomialKernel(n, n)), t)
         if np.max(np.abs(v - v[::-1])) > 1e-12:
             failures.append(f"symmetry n={n}")
         if abs(v.max() - 1.0) > 1e-12:
             failures.append(f"normalization n={n}")
 
-    base = exp_window_eval(ScaledSineKernel(1.0), t)
+    base = window_eval(ExpKernelWindow(ScaledSineKernel(1.0)), t)
     for c in (0.5, 2.0):
-        if np.max(np.abs(exp_window_eval(ScaledSineKernel(c), t) - base ** (1.0 / c))) > 1e-12:
+        if np.max(np.abs(window_eval(ExpKernelWindow(ScaledSineKernel(c)), t) - base ** (1.0 / c))) > 1e-12:
             failures.append(f"coefficient-power c={c}")
 
     by_label = {label: r for (label, _), r in zip(TABLE_ROWS, rows)}
@@ -213,6 +212,6 @@ def test_criterion_6_property_suite(table):
 def test_criterion_7_shape_match_claim():
     t = np.linspace(0, 1, 1001)
     gap = float(
-        np.max(np.abs(exp_window_eval(PolynomialKernel(0.6, 0.6), t) - np.sin(np.pi * t)))
+        np.max(np.abs(window_eval(ExpKernelWindow(PolynomialKernel(0.6, 0.6)), t) - np.sin(np.pi * t)))
     )
     _report("criterion 7: n=0.6 shape match to sine", gap < 0.03, f"max gap {gap:.5f}")

@@ -177,6 +177,13 @@ class TestSampleCommand:
         assert (code, out) == (1, "")
         assert err == "error: tukey does not take parameters ['window_id']\n"
 
+    @pytest.mark.parametrize("spec", ["exp:poly:m=520,n=520", "exp:sine:c=1e-320"])
+    def test_subnormal_kernel_maximum_fails_when_parsed(self, capsys, spec):
+        # 1/B(t*) overflows, which would make every window value NaN
+        code, out, err = run_cli(capsys, "sample", spec, "--n", "8")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "reciprocal overflows" in err
+
     @pytest.mark.parametrize(
         "spec,column",
         [

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,9 @@ from expwin.kernels import (
     ScaledSineKernel,
     kernel_eval,
 )
-from expwin.windows import CATALOG, CatalogWindow, catalog_eval
+from expwin import kernels
+from expwin.specs import parse_window_spec
+from expwin.windows import CATALOG, CatalogWindow, window_eval
 
 
 class TestKernelEval:
@@ -54,6 +58,12 @@ class TestKernelEval:
         # (1/2)^1200 underflows to 0, so B(t*) is not positive
         with pytest.raises(InvalidKernelError, match="non-positive maximum"):
             PolynomialKernel(600, 600)
+
+    @pytest.mark.parametrize("spec", ["exp:poly:m=520,n=520", "exp:sine:c=1e-320"])
+    def test_subnormal_maximum_rejected_when_built(self, spec):
+        # B(t*) is positive but subnormal, so 1/B(t*) overflows and W would be NaN
+        with pytest.raises(InvalidKernelError, match="reciprocal overflows"):
+            parse_window_spec(spec)
 
     def test_endpoint_limits_nonnegative(self):
         for k in (PolynomialKernel(0.3, 2.0), ScaledSineKernel(0.5), CatalogWindow("welch")):
@@ -102,7 +112,7 @@ class TestKernelMax:
         k = CatalogWindow(wid)
         t_star, b_max = k.peak
         assert t_star == 0.5 and b_max == pytest.approx(1.0, abs=1e-15)
-        assert k.peak == (0.5, catalog_eval(k, 0.5))
+        assert k.peak == (0.5, window_eval(k, 0.5))
         assert np.all(kernel_eval(k, np.linspace(0, 1, 10001)) <= b_max)
 
     @given(
@@ -136,3 +146,11 @@ class TestProperties:
         scaled = kernel_eval(ScaledSineKernel(c), t)
         unit = kernel_eval(ScaledSineKernel(1.0), t)
         assert np.array_equal(scaled, c * unit)
+
+
+def test_kernels_module_imports_nothing_from_windows():
+    # windows builds on kernels; an import back, even inside a function, is a cycle
+    with open(kernels.__file__) as f:
+        tree = ast.parse(f.read())
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not [line for line in imports if "windows" in line]

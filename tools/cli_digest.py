@@ -39,6 +39,8 @@ EXTRA_SPECS = [
     "exp:win:planck_taper:epsilon=0.1",
     "exp:poly:m=1,n=2",
     "exp:poly:m=12,n=13",
+    "exp:poly:m=520,n=520",
+    "exp:sine:c=1e-320",
 ]
 
 QUAD_BANDS = [[], ["--fmax", "0.29", "--pad", "100"], ["--fmax", "900", "--pad", "3"], ["--fmax", "0.005"]]
