@@ -9,12 +9,13 @@ Handlers return their whole output; ``main`` writes it to stdout or
 ``--out`` only on success.  Every failure, a ``table`` row included,
 exits 1 with ``error: <message>`` on stderr and leaves ``--out`` as it was.
 
-CSV text is made by one %-format per response.  A process that calls
-``main`` more than once keeps two things between calls: the argument parser,
-built on the first call, and the text of the last grid column formatted,
-keyed by the grid's bytes.  For the default 6401-row band that text takes
-about 0.42 MB (``sys.getsizeof`` of the tuple and its strings) and its key
-0.05 MB.  Every call parses into a fresh namespace.
+CSV text is made by one %-format per response.  The grid column is
+k/divisor for row k: k/``--pad`` Hz for both spectrum methods, k/``--n`` for
+``sample``.  A process that calls ``main`` more than once keeps two things
+between calls: the argument parser, built on the first call, and the text of
+the last grid column formatted, keyed by its row count and divisor.  For the
+default 6401-row band that text takes about 0.42 MB (``sys.getsizeof`` of
+the tuple and its strings).  Every call parses into a fresh namespace.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .spectrum import _band_size, spectrum_fft, spectrum_quadrature
+from .spectrum import _band_size, _check_quadrature_limit, spectrum_fft, spectrum_quadrature
 from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
 from .metrics import MetricsReport, full_report
@@ -34,17 +35,17 @@ from .windows import CATALOG, sample
 
 
 @functools.lru_cache(maxsize=1)
-def _cells(column: bytes) -> tuple[str, ...]:
-    """The "%.12g" text of each float64 in ``column``, kept for the last grid formatted."""
-    return tuple(["%.12g" % x for x in np.frombuffer(column).tolist()])
+def _grid_cells(rows: int, divisor: int) -> tuple[str, ...]:
+    """The "%.12g" text of k/divisor, k < rows, kept for the last grid formatted."""
+    return tuple(["%.12g" % x for x in (np.arange(rows) / divisor).tolist()])
 
 
-def _csv(header: str, grid: np.ndarray, *columns: np.ndarray) -> str:
-    """CSV text: the header line, then row k holds element k of the float64
-    ``grid`` and of every column, each as "%.12g" (the same text as "{:.12g}")."""
-    k, n = 1 + len(columns), grid.size
+def _csv(header: str, divisor: int, *columns: np.ndarray) -> str:
+    """CSV text: the header line, then row k holds k/divisor and element k
+    of every float64 column, each as "%.12g" (the same text as "{:.12g}")."""
+    k, n = 1 + len(columns), columns[0].size
     cells = [None] * (k * n)
-    cells[0::k] = _cells(grid.tobytes())
+    cells[0::k] = _grid_cells(n, divisor)
     for i, c in enumerate(columns, 1):
         cells[i::k] = c.tolist()
     return header + "\n" + ("%s" + ",%.12g" * len(columns) + "\n") * n % tuple(cells)
@@ -68,8 +69,7 @@ def cmd_list(args) -> str:
 
 
 def cmd_sample(args) -> str:
-    w = sample(parse_window_spec(args.spec), args.n)
-    return _csv("t,w", np.arange(args.n) / args.n, w)
+    return _csv("t,w", args.n, sample(parse_window_spec(args.spec), args.n))
 
 
 def cmd_spectrum(args) -> str:
@@ -77,9 +77,10 @@ def cmd_spectrum(args) -> str:
     if args.method == "fft":
         s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
     else:
+        _check_quadrature_limit(args.fmax)  # before the band size, which overflows for a huge f_max
         m = _band_size(args.fmax, args.pad)
         s = spectrum_quadrature(wdef, (m - 1) / args.pad, m)
-    return _csv("f_hz,abs,db", s.frequencies, s.magnitudes, s.db)
+    return _csv("f_hz,abs,db", args.pad, s.magnitudes, s.db)
 
 
 def cmd_metrics(args) -> str:

@@ -71,15 +71,7 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     power *= power
     r = np.fft.irfft(power, 2 * p)[: p + 1]
     r[p] = g[0] * g[p]
-    # 2 sinc(x), x = 2 omega0 d/P, built in place; x > 0 since d >= 1.
-    x = np.arange(1, p + 1, dtype=float)
-    x *= 2.0 * omega0_hz
-    x /= p
-    x *= np.pi
-    sinc = np.sin(x)
-    sinc /= x
-    sinc *= 2.0
-    r[1:] *= sinc
+    r[1:] *= 2.0 * np.sinc(2.0 * omega0_hz * np.arange(1, p + 1) / p)
     lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
     total_energy = float(np.dot(g, w))
     return max(100.0 * (1.0 - lobe_energy / total_energy), 0.0)
@@ -103,10 +95,8 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
     for first in range(0, size, N_PANELS):
         end = min(first + N_PANELS, size)
         amps[first:end] = _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)[: end - first]
-        freqs = np.arange(end, dtype=float)
-        freqs /= PAD_FACTOR
         try:
-            new = segment_lobes(Spectrum(frequencies=freqs, amplitudes=amps[:end]), start)
+            new = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR), start)
         except NoNullsFoundError:
             if end == size:
                 raise

@@ -5,10 +5,11 @@ with frequencies in Hz.  A Riemann sum over the sampled window
 (``spectrum_fft``) and composite-Simpson quadrature over the window at the
 nodes k/P, k = 0..P (``spectrum_simpson``; ``spectrum_quadrature`` on a dense
 grid is the oracle) both evaluate an evenly spaced band from 0 Hz with one
-chirp-z transform, whose chirp and kernel FFT are cached for the last band
-shape, next to one complex work buffer of the convolution's FFT size that
-every transform of that size reuses; the table rows build their bands in
-chunks of one shape and share all three.
+chirp-z transform.  Its plan, cached for the last band shape, holds the
+chirp, the kernel FFT and the one complex work buffer the convolution runs
+in; the table rows build their bands in chunks of one shape and share it.
+A ``Spectrum`` is the band's amplitudes and its spacing ``df``: bin k lies
+at k*df Hz.
 """
 from __future__ import annotations
 
@@ -37,14 +38,15 @@ def _db(mag: np.ndarray, dc: float) -> np.ndarray:
 
 @dataclass
 class Spectrum:
-    """Complex spectrum on an evenly spaced band from 0 Hz.
+    """Complex spectrum on the band k*df Hz, k = 0, 1, ..., from 0 Hz.
 
     dB values are relative to the f=0 amplitude ``dc``, so a zero or
-    non-finite DC value raises ValueError; they are computed when read.
+    non-finite DC value raises ValueError; they and the frequencies are
+    computed when read.
     """
 
-    frequencies: np.ndarray
     amplitudes: np.ndarray
+    df: float
     dc: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -57,8 +59,8 @@ class Spectrum:
         return _db(self.magnitudes, self.dc)
 
     @property
-    def df(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
+    def frequencies(self) -> np.ndarray:
+        return np.arange(self.amplitudes.size) * self.df
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -77,14 +79,18 @@ class LobeSegmentation:
 
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(n: int, m: int, a: float) -> tuple:
-    """Read-only chirp exp(i*pi*a*k^2), k < max(n, m), and FFT of the Bluestein kernel.
+    """Read-only chirp exp(i*pi*a*k^2), k < max(n, m), FFT of the Bluestein kernel, and work buffer.
 
-    Only the last plan is kept, until a band of another shape replaces it:
-    16 bytes times max(n, m) plus the power of two >= n + m - 1, and
-    ``_work_buffer`` holds 16 bytes times that power of two more.  The table
-    rows' chunks of 8192 bins over 8193 nodes share one, about 0.4 MB with
-    0.26 MB of buffer (n + m - 1 = 16384, no padding); a quadrature band to
-    32768 Hz at 128 bins per Hz holds about 200 MB with 134 MB of buffer.
+    The complex convolution buffer of the FFT size, used under ``_WORK_LOCK``,
+    is kept so a chunked band faults it in once.  It has its own anonymous
+    mapping, not malloc's heap: a long-lived block there would keep the heap
+    from shrinking back below it, and the rows' transient arrays would fault
+    fresh pages in above it.  Only the last plan is kept, until a band of
+    another shape replaces it: 16 bytes times max(n, m) plus twice the power
+    of two >= n + m - 1.  The table rows' chunks of 8192 bins over 8193 nodes
+    share one, about 0.4 MB with 0.26 MB of buffer (n + m - 1 = 16384, no
+    padding); a quadrature band to 32768 Hz at 128 bins per Hz holds about
+    200 MB with 134 MB of buffer.
     """
     size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
     k2 = np.arange(max(n, m), dtype=float) ** 2
@@ -94,21 +100,10 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
     kernel_fft = np.fft.fft(kernel)
     chirp.flags.writeable = kernel_fft.flags.writeable = False
-    return chirp, kernel_fft
+    return chirp, kernel_fft, np.frombuffer(mmap.mmap(-1, 16 * size), dtype=complex)
 
 
-_WORK_LOCK = threading.Lock()  # held while ``_band_dft`` fills and reads the work buffer
-
-
-@functools.lru_cache(maxsize=1)
-def _work_buffer(size: int) -> np.ndarray:
-    """The complex convolution buffer of FFT size ``size``, kept so a chunked band faults it in once.
-
-    It has its own anonymous mapping, not malloc's heap: a long-lived block
-    there would keep the heap from shrinking back below it, and the rows'
-    transient arrays would fault fresh pages in above it.
-    """
-    return np.frombuffer(mmap.mmap(-1, 16 * size), dtype=complex)
+_WORK_LOCK = threading.Lock()  # held while ``_band_dft`` fills and reads a plan's work buffer
 
 
 def _turn(c: float, n: int) -> np.ndarray:
@@ -128,13 +123,12 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
-    a = dt*df, done by power-of-two FFTs in place in ``_work_buffer``.  The
-    chirp and the kernel FFT depend only on (n, m, a) and come from
-    ``_chirp_plan``; ``first`` > 0 turns g_k by exp(2*pi*i*first*a*k) first.
-    The phases a*k^2 and first*a*k are reduced mod 2 and mod 1, so they stay
-    exact whenever a is a power of two; otherwise their absolute error grows
-    with the phase, which is why values above 2^24 raise ValueError.  The
-    result is a fresh array.
+    a = dt*df, done by power-of-two FFTs in place in the work buffer of the
+    plan ``_chirp_plan`` keeps for (n, m, a); ``first`` > 0 turns g_k by
+    exp(2*pi*i*first*a*k) first.  The phases a*k^2 and first*a*k are
+    reduced mod 2 and mod 1, so they stay exact whenever a is a power of
+    two; otherwise their absolute error grows with the phase, which is why
+    values above 2^24 raise ValueError.  The result is a fresh array.
     """
     n = g.size
     phase_max = dt * df * max(max(n, m) ** 2, first * n)
@@ -145,9 +139,8 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
         )
     if first:
         g = g * _turn(first * (dt * df), n)
-    chirp, kernel_fft = _chirp_plan(n, m, dt * df)
+    chirp, kernel_fft, buf = _chirp_plan(n, m, dt * df)
     with _WORK_LOCK:
-        buf = _work_buffer(kernel_fft.size)
         np.multiply(g, chirp[:n], out=buf[:n])
         buf[n:] = 0.0
         np.fft.fft(buf, out=buf)
@@ -183,7 +176,7 @@ def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0
         raise ValueError(f"f_max must be in [0, {nyquist:g}] Hz (Nyquist), got {f_max:g}")
     m = _band_size(f_max, pad_factor)
     amps = _band_dft(values, dt, 1.0 / pad_factor, m) * dt
-    return Spectrum(frequencies=np.arange(m) / pad_factor, amplitudes=amps)
+    return Spectrum(amps, 1.0 / pad_factor)
 
 
 def _simpson_weights(panels: int) -> np.ndarray:
@@ -198,8 +191,14 @@ def _simpson_weights(panels: int) -> np.ndarray:
 def spectrum_simpson(values: np.ndarray, f_max: float, m: int) -> Spectrum:
     """Composite-Simpson spectrum of the nodes W(k/P), k = 0..P, P even, at m frequencies 0..f_max Hz."""
     panels = values.size - 1
-    amps = _band_dft(_simpson_weights(panels) * values, 1.0 / panels, f_max / max(m - 1, 1), m)
-    return Spectrum(frequencies=np.linspace(0.0, f_max, m), amplitudes=amps)
+    df = f_max / max(m - 1, 1)
+    return Spectrum(_band_dft(_simpson_weights(panels) * values, 1.0 / panels, df, m), df)
+
+
+def _check_quadrature_limit(f_max: float) -> None:
+    """ValueError for a finite f_max above 32768 Hz, the quadrature's limit of 2^21 panels."""
+    if np.inf > f_max > 32768.0:
+        raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:.12g} Hz")
 
 
 def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
@@ -211,8 +210,7 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     """
     if m < 1 or not 0.0 <= f_max < np.inf:
         raise ValueError(f"need m >= 1 frequencies and a finite f_max >= 0 Hz, got {m} and {f_max:g}")
-    if f_max > 32768.0:
-        raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:g} Hz")
+    _check_quadrature_limit(f_max)
     panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
     panels += panels % 2
     return spectrum_simpson(window_eval(wdef, np.linspace(0.0, 1.0, panels + 1)), f_max, m)
@@ -246,8 +244,8 @@ def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
     from the ``last_min`` of the segmentation before, whose null is then
     found again as the first.
     """
-    if s.frequencies.size < 3:
-        raise NoNullsFoundError(f"a spectrum of {s.frequencies.size} bins has no local minimum")
+    if s.amplitudes.size < 3:
+        raise NoNullsFoundError(f"a spectrum of {s.amplitudes.size} bins has no local minimum")
     if s.df > 0.02 + 1e-12:
         raise ValueError(f"grid spacing {s.df} Hz too coarse for segmentation")
     lo = max(start, 1) - 1  # mag, mins and k below count bins from lo
@@ -255,8 +253,8 @@ def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
     mins = np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
     if mins.size == 0:
         raise NoNullsFoundError("no spectral local minimum below the scan limit")
-    freqs, h = s.frequencies[lo:], s.df
-    nulls = _parabolic_vertex(freqs[mins], h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
+    h = s.df
+    nulls = _parabolic_vertex((lo + mins) * h, h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
 
     # Lobe i runs from mins[i] + 1 to mins[i + 1]; its closing minimum is
     # never its first largest point, since mag[m] < mag[m - 1].  The peak
@@ -266,5 +264,5 @@ def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
     starts = mins[:-1] - mins[0]
     tops = np.flatnonzero(lobes == np.repeat(np.maximum.reduceat(lobes, starts), np.diff(mins)))
     k = mins[0] + 1 + tops[np.searchsorted(tops, starts)]
-    peak_freqs, peak_db = _parabolic_vertex(freqs[k], h, *_db(mag[np.stack((k - 1, k, k + 1))], s.dc))
+    peak_freqs, peak_db = _parabolic_vertex((lo + k) * h, h, *_db(mag[np.stack((k - 1, k, k + 1))], s.dc))
     return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db, last_min=lo + int(mins[-1]))

@@ -245,6 +245,17 @@ class TestSpectrumCommand:
         assert cols["fft"] == cols["quad"]
         assert cols["quad"][-1] == "0.29"
 
+    @pytest.mark.parametrize("pad,fmax", [("100", "3"), ("7", "2.5")])
+    def test_quad_grid_text_matches_fft(self, capsys, pad, fmax):
+        # both methods write the grid k/pad
+        cols = {}
+        for method in ("fft", "quad"):
+            code, out, _ = run_cli(capsys, "spectrum", "hann", "--fmax", fmax, "--pad", pad, "--method", method)
+            assert code == 0
+            cols[method] = [r.split(",")[0] for r in out.split("\n")[1:-1]]
+        assert cols["fft"] == cols["quad"]
+        assert cols["fft"] == [f"{k / int(pad):.12g}" for k in range(len(cols["fft"]))]
+
     def test_negative_fmax_quad_fails(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "hann", "--fmax", "-1", "--method", "quad")
         assert code == 1
@@ -282,6 +293,14 @@ class TestSpectrumCommand:
         assert (code, out) == (1, "")
         assert err == "error: quadrature is limited to 32768 Hz, got 100000 Hz\n"
         assert peak < 2**20
+
+    # 1e307 * 128 overflows to inf, so no band size exists; the band of
+    # 32768.004 Hz would end at 32768 Hz, but the request is past the limit
+    @pytest.mark.parametrize("fmax,shown", [("1e307", "1e+307"), ("32768.004", "32768.004")])
+    def test_quad_fmax_past_limit_names_it(self, capsys, fmax, shown):
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--method", "quad", "--fmax", fmax)
+        assert (code, out) == (1, "")
+        assert err == f"error: quadrature is limited to 32768 Hz, got {shown} Hz\n"
 
     def test_wrapped_planck_taper(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "exp:win:planck_taper:epsilon=0.1")
@@ -469,14 +488,15 @@ float64s = st.one_of(
 def csv_columns(draw):
     rows, values = draw(st.integers(1, 64)), draw(st.integers(1, 3))
     column = st.lists(float64s, min_size=rows, max_size=rows).map(np.array)
-    return [draw(column) for _ in range(1 + values)]
+    return [draw(column) for _ in range(values)]
 
 
 class TestCsvWriter:
-    @given(columns=csv_columns())
-    def test_matches_per_cell_writer(self, columns):
-        header = ",".join(f"c{i}" for i in range(len(columns)))
-        assert _csv(header, *columns) == _csv_per_cell(header, *columns)
+    @given(divisor=st.integers(1, 2**31), columns=csv_columns())
+    def test_matches_per_cell_writer(self, divisor, columns):
+        header = ",".join(f"c{i}" for i in range(1 + len(columns)))
+        grid = np.arange(columns[0].size) / divisor
+        assert _csv(header, divisor, *columns) == _csv_per_cell(header, grid, *columns)
 
     def test_grid_changes_within_a_process(self, capsys):
         # the grid column's text is kept for the last grid only; each output

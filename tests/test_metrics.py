@@ -360,7 +360,7 @@ class TestChunkedBand:
         for count in range(1, len(chunks) + 1):
             amps = np.concatenate(chunks[:count])[:64001]
             try:
-                want = segment_lobes(Spectrum(frequencies=np.arange(amps.size) / PAD_FACTOR, amplitudes=amps))
+                want = segment_lobes(Spectrum(amps, 1.0 / PAD_FACTOR))
             except NoNullsFoundError as exc:
                 if count < len(chunks):
                     continue

@@ -43,6 +43,11 @@ class TestSpectrumFFT:
         s = spectrum_fft(sample(catalog("hann"), 8192), 128, 5.0)
         assert s.df == pytest.approx(1 / 128, abs=1e-15)
 
+    def test_one_bin_band_keeps_its_spacing(self):
+        s = spectrum_fft(sample(catalog("hann"), 8192), 128, 0.0)
+        assert (s.amplitudes.size, s.df) == (1, 1 / 128)
+        assert s.frequencies.tolist() == [0.0]
+
     def test_db_normalization(self):
         s = spectrum_fft(sample(catalog("hann"), 8192), 128, 5.0)
         assert s.db[0] == 0.0
@@ -94,10 +99,13 @@ class TestChirpPlan:
         _band_dft(g, 1 / 64, 0.5, 40)
         _band_dft(g, 1 / 64, 0.25, 40)
         assert _chirp_plan.cache_info().currsize <= 1
-        for arr in _chirp_plan(64, 40, 1 / 256):
+        chirp, kernel_fft, buf = _chirp_plan(64, 40, 1 / 256)
+        for arr in (chirp, kernel_fft):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        _band_dft(g, 1 / 64, 0.25, 40)
+        assert _chirp_plan(64, 40, 1 / 256)[2] is buf  # one shape, one work buffer
 
     def test_non_power_of_two_step_matches_direct_sum(self):
         # a = dt*df = 0.3/777 is not a power of two, so the chirp phases round
@@ -280,7 +288,7 @@ def _segment_loop(s):
 
 
 def _hand_spectrum(mags):
-    return Spectrum(frequencies=np.arange(len(mags)) * 0.01, amplitudes=np.array(mags, float))
+    return Spectrum(np.array(mags, float), 0.01)
 
 
 @pytest.fixture(scope="module")

@@ -96,6 +96,7 @@ ERROR_ARGVS = [
     ["spectrum", "hann", "--fmax", "nan"],
     ["spectrum", "hann", "--fmax", "inf", "--method", "quad"],
     ["spectrum", "hann", "--fmax", "40000", "--pad", "2", "--method", "quad"],
+    ["spectrum", "hann", "--method", "quad", "--fmax", "1e307"],
     ["spectrum", "exp:poly:m=50,n=51"],
     ["metrics", "exp:win:poisson:tau=0.05"],
     ["metrics", "exp:poly:m=600,n=600"],
