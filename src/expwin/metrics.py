@@ -5,6 +5,7 @@ width is reported in units of 0.1 s, so the full record is 10.0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -20,7 +21,7 @@ PAD_FACTOR = 128          # spectrum bins per Hz
 F_MAX = 500.0             # Hz, top of the spectrum that is segmented if no lobe before reaches -60 dB
 DECAY_THRESHOLD_DB = -60.0  # 1/1000 of the f=0 amplitude
 BISECT_TOL = 1e-8         # width of the final bracket of a half-width edge
-BISECT_BITS = 9           # halvings of each half-width bracket per window evaluation
+BISECT_BITS = 7           # halvings of each half-width bracket per window evaluation
 
 
 class InsufficientLobesError(RuntimeError):
@@ -53,8 +54,33 @@ def main_lobe_width(seg: LobeSegmentation) -> float:
     return float(seg.nulls[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _simpson_rule(panels: int) -> tuple:
+    """Read-only nodes k/panels, k = 0..panels, their Simpson weights and the lags 1..panels.
+
+    Kept for the last panel count, N_PANELS on the table path.
+    """
+    rule = np.linspace(0.0, 1.0, panels + 1), _simpson_weights(panels), np.arange(1.0, panels + 1)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@functools.lru_cache(maxsize=1)
+def _node_values(wdef: WindowDef) -> np.ndarray:
+    """Read-only W at the nodes k/N_PANELS, k = 0..N_PANELS, kept for the last window.
+
+    ``full_report`` reads them for the spectrum and the leakage and
+    ``half_width_numeric`` for the first halvings of its brackets, so a
+    table row evaluates them once.
+    """
+    w = window_eval(wdef, _simpson_rule(N_PANELS)[0])
+    w.flags.writeable = False
+    return w
+
+
 def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
-    """Percentage of window energy outside the main lobe.
+    """Percentage of window energy outside the main lobe of half width ``omega0_hz`` > 0.
 
     ``w`` holds the window at the nodes t_k = k/P, k = 0..P with P even,
     and g_k = s_k w_k with Simpson weights s_k; Fhat(f) = sum_k g_k
@@ -65,13 +91,15 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     W(t)^2 dt, here sum_k s_k w_k^2.
     """
     p = w.size - 1
-    g = _simpson_weights(p) * w
+    _, weights, lags = _simpson_rule(p)
+    g = weights * w
     # A circular autocorrelation of length 2P folds lag -P onto lag P only.
     power = np.abs(np.fft.rfft(g, 2 * p))
     power *= power
     r = np.fft.irfft(power, 2 * p)[: p + 1]
     r[p] = g[0] * g[p]
-    r[1:] *= 2.0 * np.sinc(2.0 * omega0_hz * np.arange(1, p + 1) / p)
+    y = np.pi * (2.0 * omega0_hz * lags / p)  # np.sinc's own arithmetic, without its where: y > 0 here
+    r[1:] *= 2.0 * np.sin(y) / y
     lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
     total_energy = float(np.dot(g, w))
     return max(100.0 * (1.0 - lobe_energy / total_energy), 0.0)
@@ -88,7 +116,7 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
     its own bins and their neighbours, so these are the whole band's first
     lobes; only the whole band raises.
     """
-    g = _simpson_weights(N_PANELS) * w
+    g = _simpson_rule(N_PANELS)[1] * w
     size = int(F_MAX * PAD_FACTOR) + 1
     amps = np.empty(size, dtype=complex)  # filled chunk by chunk; pages past the last are never touched
     seg, start = None, 0
@@ -145,25 +173,38 @@ def half_width_numeric(wdef: WindowDef) -> float:
     the super-level set is one interval around the peak t*, where W = 1.
     Its edges are bisected on [0, t*] and [t*, 1] down to BISECT_TOL, each
     as if alone; an end where W is still at least sqrt(2)/2 is itself the
-    edge.  One window evaluation serves BISECT_BITS halvings of both
-    brackets: it takes the 2**BISECT_BITS + 1 points those halvings can
-    reach, built level by level as 0.5 * (a + b) like the bisection's own
-    midpoints, and the bisection then walks down them.  So each edge has
-    the bits of a bisection that evaluates one point per step.
+    edge.  W(0), W(1) and the first halvings come from the window at the
+    nodes k/N_PANELS that ``full_report`` reads too: a bracket is halved on
+    them while both its ends and its midpoint are nodes, 12 times per edge
+    when t* = 1/2, fewer when t* is another multiple of 1/N_PANELS and
+    never otherwise.  Then one window evaluation serves BISECT_BITS
+    halvings of both brackets: it takes the 2**BISECT_BITS + 1 points those
+    halvings can reach, built level by level as 0.5 * (a + b) like the
+    bisection's own midpoints, and the bisection then walks down them.  So
+    each edge has the bits of a bisection that evaluates one point per step.
     """
-    lo, hi = np.array([0.0, wdef.peak[0]]), np.array([wdef.peak[0], 1.0])
-    at_ends = None
-    while at_ends is None or (hi - lo > BISECT_TOL).any():
+    nodes = _node_values(wdef)
+    at_ends = np.array([nodes[0], nodes[-1]]) >= HALF_AMPLITUDE  # W(0) and W(1)
+    t_peak = wdef.peak[0]
+    k_peak = t_peak * N_PANELS
+    brackets = [(0.0, t_peak), (t_peak, 1.0)]
+    if k_peak.is_integer():
+        brackets = []
+        for a, b in ((0, int(k_peak)), (int(k_peak), N_PANELS)):
+            while (a + b) % 2 == 0:  # the midpoint is a node
+                mid = (a + b) // 2
+                same = (nodes.item(a) < HALF_AMPLITUDE) == (nodes.item(mid) < HALF_AMPLITUDE)
+                a, b = (mid, b) if same else (a, mid)
+            brackets.append((a / N_PANELS, b / N_PANELS))
+    lo, hi = np.array(brackets).T
+    while (hi - lo > BISECT_TOL).any():
         grid = np.empty((2, 2 ** BISECT_BITS + 1))
         grid[:, 0], grid[:, -1] = lo, hi
         for level in range(BISECT_BITS):
             step = 2 ** (BISECT_BITS - level)
             grid[:, step // 2 :: step] = 0.5 * (grid[:, : -1 : step] + grid[:, step::step])
-        w = window_eval(wdef, grid)
-        if at_ends is None:
-            at_ends = np.array([w[0, 0], w[1, -1]]) >= HALF_AMPLITUDE  # W(0) and W(1)
         brackets = []
-        for t, below in zip(grid.tolist(), (w < HALF_AMPLITUDE).tolist()):
+        for t, below in zip(grid.tolist(), (window_eval(wdef, grid) < HALF_AMPLITUDE).tolist()):
             a, b = 0, len(t) - 1
             while b - a > 1 and t[b] - t[a] > BISECT_TOL:
                 mid = (a + b) // 2
@@ -188,7 +229,7 @@ def half_width_analytic(n: float) -> float:
 def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
     """Run the whole pipeline for one window."""
     try:
-        w = window_eval(wdef, np.linspace(0.0, 1.0, N_PANELS + 1))
+        w = _node_values(wdef)
         seg = _band_lobes(w)
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)

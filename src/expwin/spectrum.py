@@ -14,6 +14,7 @@ at k*df Hz.
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 import threading
 from dataclasses import dataclass, field
@@ -103,6 +104,12 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     return chirp, kernel_fft, np.frombuffer(mmap.mmap(-1, 16 * size), dtype=complex)
 
 
+# How to bring each term of the chirp-z phase dt*df*max(m^2, n^2, first*n) back under 2^24.
+_PHASE_REMEDIES = {
+    "m^2": "the band has too many frequencies; use fewer, with a lower f_max or a coarser frequency spacing",
+    "n^2": "too many nodes for the frequency spacing; use fewer nodes or a finer spacing, more frequencies to f_max",
+    "first*n": "the band starts too high; start it at a lower frequency",
+}
 _WORK_LOCK = threading.Lock()  # held while ``_band_dft`` fills and reads a plan's work buffer
 
 
@@ -131,12 +138,11 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
     values above 2^24 raise ValueError.  The result is a fresh array.
     """
     n = g.size
-    phase_max = dt * df * max(max(n, m) ** 2, first * n)
+    terms = {"m^2": m * m, "n^2": n * n, "first*n": first * n}
+    term = max(terms, key=terms.get)
+    phase_max = dt * df * terms[term]
     if phase_max > 2.0 ** 24:
-        raise ValueError(
-            f"band too sparse for the chirp-z phase: dt*df*max(max(n,m)^2, first*n) = {phase_max:.3g} > 2^24;"
-            " use more frequencies or a lower f_max"
-        )
+        raise ValueError(f"chirp-z phase dt*df*{term} = {phase_max:.3g} > 2^24: {_PHASE_REMEDIES[term]}")
     if first:
         g = g * _turn(first * (dt * df), n)
     chirp, kernel_fft, buf = _chirp_plan(n, m, dt * df)
@@ -150,9 +156,14 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
 
 
 def _band_size(f_max: float, pad_factor: int) -> int:
-    """How many of the frequencies k/pad_factor Hz, k >= 0, lie up to f_max (1e-12 Hz slack)."""
+    """How many of the frequencies k/pad_factor Hz, k >= 0, lie up to f_max (1e-12 Hz slack).
+
+    ValueError unless 2 <= pad_factor <= 2^53 and f_max is finite and >= 0.
+    """
     if pad_factor < 2:
         raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
+    if pad_factor > 2 ** 53:  # before f_max * pad_factor, which cannot convert an integer past 1.8e308
+        raise ValueError(f"pad_factor must be at most 2^53, got about 10^{math.log10(pad_factor):.0f}")
     if not f_max >= 0.0:
         raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
     if not np.isfinite(f_max):

@@ -302,6 +302,19 @@ class TestSpectrumCommand:
         assert (code, out) == (1, "")
         assert err == f"error: quadrature is limited to 32768 Hz, got {shown} Hz\n"
 
+    @pytest.mark.parametrize("method", ["fft", "quad"])
+    def test_pad_past_float_range_names_limit(self, capsys, method):
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--pad", "1" + "0" * 400, "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: pad_factor must be at most 2^53, got about 10^400\n"
+
+    def test_too_many_bins_names_band_size(self, capsys):
+        # 5e10 bins of 1e-9 Hz to 50 Hz: the band is too large, not too sparse
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--pad", "1000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: chirp-z phase dt*df*m^2 = 3.05e+08 > 2^24: ")
+        assert "use fewer" in err and "more frequencies" not in err
+
     def test_wrapped_planck_taper(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "exp:win:planck_taper:epsilon=0.1")
         assert code == 0

@@ -126,6 +126,17 @@ class TestEnergyLeakage:
         r = full_report(wdef)
         assert abs(r.leakage_pct - energy_leakage(_nodes(wdef, 2 ** 15), r.omega0_hz)) < 1e-3
 
+    @pytest.mark.parametrize("label, spec", TABLE_ROWS[::4])
+    def test_matches_np_sinc_form_bit_for_bit(self, label, spec):
+        wdef = parse_window_spec(spec)
+        w, w0 = _nodes(wdef), full_report(wdef).omega0_hz
+        g = _simpson_weights(N_PANELS) * w
+        r = np.fft.irfft(np.abs(np.fft.rfft(g, 2 * N_PANELS)) ** 2, 2 * N_PANELS)[: N_PANELS + 1]
+        r[N_PANELS] = g[0] * g[N_PANELS]
+        r[1:] *= 2.0 * np.sinc(2.0 * w0 * np.arange(1, N_PANELS + 1) / N_PANELS)
+        want = max(100.0 * (1.0 - 2.0 * w0 * float(np.sum(r)) / float(np.dot(g, w))), 0.0)
+        assert energy_leakage(w, w0) == want
+
     @pytest.mark.parametrize("size", [2, 8, 8192])
     def test_odd_panel_count_raises(self, size):
         with pytest.raises(ValueError, match="even number of panels"):
@@ -215,12 +226,16 @@ class TestHalfWidth:
         assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
 
     @pytest.mark.parametrize(
-        "spec", [spec for _, spec in TABLE_ROWS] + ["exp:poly:m=12,n=13", "exp:poly:m=0.3,n=4"]
+        "spec",
+        [spec for _, spec in TABLE_ROWS]
+        + ["exp:poly:m=12,n=13", "exp:poly:m=0.3,n=4", "exp:poly:m=1,n=3", "exp:poly:m=3,n=5", "exp:poly:m=1,n=2"],
     )
     def test_matches_one_edge_at_a_time_bisection(self, spec):
         # the edges are bisected together on 2-element arrays, from the peak
-        # t* out to each end; each must get the bits of a scalar bisection of
-        # its own interval, and an end where W >= sqrt(2)/2 is the edge
+        # t* out to each end, first on the Simpson nodes while both ends and
+        # the midpoint are nodes (t* = 1/2 in the table rows, 1/4 and 3/8
+        # here, never for 1/3); each must get the bits of a scalar bisection
+        # of its own interval, and an end where W >= sqrt(2)/2 is the edge
         wdef = parse_window_spec(spec)
 
         def bisect(lo, hi):
@@ -391,17 +406,47 @@ class TestChunkedBand:
     def test_drawn_windows_match_segmentation_of_concatenated_chunks(self, wdef):
         self._check_matches_concatenated_chunks(wdef)
 
-    def test_table_evaluates_each_window_four_times(self, monkeypatch):
-        # once on the Simpson nodes and three times for the half width
-        calls = []
+    @staticmethod
+    def _count_window_evals(monkeypatch):
+        shapes = []
 
         def counted(wdef, t):
-            calls.append(wdef)
+            shapes.append(np.shape(t))
             return window_eval(wdef, t)
 
+        metrics._node_values.cache_clear()
         monkeypatch.setattr(metrics, "window_eval", counted)
+        return shapes
+
+    def test_row_with_peak_at_half_evaluates_window_three_times(self, monkeypatch):
+        # once on the Simpson nodes, which also give the half width its first
+        # 12 halvings per edge, then twice for 2 x 7 more
+        shapes = self._count_window_evals(monkeypatch)
+        full_report(parse_window_spec("exp:win:hann"))
+        assert shapes == [(N_PANELS + 1,), (2, 129), (2, 129)]
+
+    def test_table_evaluates_each_window_three_times(self, monkeypatch):
+        shapes = self._count_window_evals(monkeypatch)
         compute_table()
-        assert len(calls) <= 4 * len(TABLE_ROWS)
+        assert len(shapes) == 3 * len(TABLE_ROWS)
+
+    def test_node_values_are_read_only(self):
+        w = metrics._node_values(catalog("hann"))
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        for a in metrics._simpson_rule(N_PANELS):
+            assert not a.flags.writeable
+
+    def test_reports_of_alternating_windows_match_fresh_ones(self):
+        # the node values cached for a are dropped for b and evaluated again
+        windows = [parse_window_spec(spec) for spec in ("exp:win:hann", "tukey:alpha=0.3", "exp:win:hann")]
+        fresh = []
+        for wdef in windows:
+            metrics._node_values.cache_clear()
+            fresh.append((full_report(wdef), half_width_numeric(wdef)))
+        metrics._node_values.cache_clear()
+        got = [(full_report(wdef), half_width_numeric(wdef)) for wdef in windows]
+        assert repr(got) == repr(fresh)
 
     def test_table_builds_one_plan(self):
         _chirp_plan.cache_clear()

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -12,6 +13,7 @@ from expwin.spectrum import (
     NoNullsFoundError,
     Spectrum,
     _band_dft,
+    _band_size,
     _chirp_plan,
     _turn,
     segment_lobes,
@@ -85,6 +87,17 @@ class TestSpectrumFFT:
         assert not w.any()
         with pytest.raises(ValueError, match="DC"):
             spectrum_fft(w, 128, 50.0)
+
+    @pytest.mark.parametrize("pad", [2 ** 53 + 1, 10 ** 400], ids=["2^53+1", "10^400"])
+    def test_pad_past_limit_rejected_before_any_conversion(self, pad):
+        # f_max * 10**400 would overflow converting the integer to float
+        with pytest.raises(ValueError, match=r"pad_factor must be at most 2\^53"):
+            _band_size(50.0, pad)
+        with pytest.raises(ValueError, match=r"pad_factor must be at most 2\^53"):
+            spectrum_fft(sample(catalog("hann"), 64), pad, 0.0)
+
+    def test_pad_at_limit_has_a_band_size(self):
+        assert _band_size(50.0, 2 ** 53) > 50 * 2 ** 53
 
 
 class TestChirpPlan:
@@ -170,6 +183,23 @@ class TestChirpPlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [want * 5 for want in serial]
+
+    @pytest.mark.parametrize(
+        "n, df, m, first, term, remedy",
+        [
+            # 5e10 bins at 1e-9 Hz over 8192 nodes: m^2/(8192e9) = 3.1e8
+            (8192, 1e-9, 50_000_000_001, 0, "m^2", "use fewer"),
+            # 2 bins 20000.3 Hz apart over 1280021 nodes: n^2 * df/n = 2.6e10
+            (1_280_021, 20000.3, 2, 0, "n^2", "use fewer nodes or a finer spacing"),
+            # a band from bin 2^30 at 0.5 Hz over 64 nodes: 2^29
+            (64, 0.5, 40, 2 ** 30, "first*n", "start it at a lower frequency"),
+        ],
+        ids=["m^2", "n^2", "first*n"],
+    )
+    def test_phase_error_names_its_term_and_remedy(self, n, df, m, first, term, remedy):
+        match = rf"chirp-z phase dt\*df\*{re.escape(term)} = .* > 2\^24: .*{remedy}"
+        with pytest.raises(ValueError, match=match):
+            _band_dft(np.ones(n), 1.0 / (n - 1), df, m, first)
 
     @pytest.mark.parametrize("c", range(1, 8))
     def test_periodic_turn_matches_full_length(self, c):

@@ -93,6 +93,7 @@ ERROR_ARGVS = [
     ["spectrum", "hann", "--fmax", "500", "--n", "256"],
     ["spectrum", "hann", "--fmax", "-1", "--method", "quad"],
     ["spectrum", "hann", "--pad", "1"],
+    ["spectrum", "hann", "--pad", "1" + "0" * 400],
     ["spectrum", "hann", "--fmax", "nan"],
     ["spectrum", "hann", "--fmax", "inf", "--method", "quad"],
     ["spectrum", "hann", "--fmax", "40000", "--pad", "2", "--method", "quad"],

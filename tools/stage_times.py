@@ -5,8 +5,9 @@ it looks up in ``expwin.metrics`` wrapped in timers, and prints each
 stage's self time summed over the rows: its own wall time minus that of
 the wrapped calls inside it, the rule ``bench/tracing.py`` uses, next to
 its number of calls per table.  The ``full_report`` line is the time spent
-outside every wrapped call.  The half width's multisection evaluates the
-window through ``window_eval``, three grids of 2 x 513 points per row, so
+outside every wrapped call.  The half width reads the window at the Simpson
+nodes that ``full_report`` evaluated, then its multisection evaluates the
+window through ``window_eval``, two grids of 2 x 129 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
 The ``segment_lobes`` line also gives the bins it searched per table: each
 64 Hz chunk once, from the band's last minimum on.  The whole table is
