@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectrum import LobeSegmentation, NoNullsFoundError, Spectrum, _band_dft, _simpson_weights
+from .spectrum import LobeSegmentation, NoNullsFoundError, Spectrum, _band_dft, _band_size, _simpson_rule
 from .spectrum import segment_lobes
 from .windows import WindowDef, window_eval
 
@@ -55,18 +55,6 @@ def main_lobe_width(seg: LobeSegmentation) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _simpson_rule(panels: int) -> tuple:
-    """Read-only nodes k/panels, k = 0..panels, their Simpson weights and the lags 1..panels.
-
-    Kept for the last panel count, N_PANELS on the table path.
-    """
-    rule = np.linspace(0.0, 1.0, panels + 1), _simpson_weights(panels), np.arange(1.0, panels + 1)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-@functools.lru_cache(maxsize=1)
 def _node_values(wdef: WindowDef) -> np.ndarray:
     """Read-only W at the nodes k/N_PANELS, k = 0..N_PANELS, kept for the last window.
 
@@ -91,14 +79,14 @@ def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
     W(t)^2 dt, here sum_k s_k w_k^2.
     """
     p = w.size - 1
-    _, weights, lags = _simpson_rule(p)
-    g = weights * w
+    g = _simpson_rule(p)[1] * w
     # A circular autocorrelation of length 2P folds lag -P onto lag P only.
     power = np.abs(np.fft.rfft(g, 2 * p))
     power *= power
     r = np.fft.irfft(power, 2 * p)[: p + 1]
     r[p] = g[0] * g[p]
-    y = np.pi * (2.0 * omega0_hz * lags / p)  # np.sinc's own arithmetic, without its where: y > 0 here
+    # np.sinc's own arithmetic at the lags d = 1..P, without its where: y > 0 here
+    y = np.pi * (2.0 * omega0_hz * np.arange(1.0, p + 1) / p)
     r[1:] *= 2.0 * np.sin(y) / y
     lobe_energy = 2.0 * omega0_hz * float(np.sum(r))
     total_energy = float(np.dot(g, w))
@@ -117,29 +105,29 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
     lobes; only the whole band raises.
     """
     g = _simpson_rule(N_PANELS)[1] * w
-    size = int(F_MAX * PAD_FACTOR) + 1
+    size = _band_size(F_MAX, PAD_FACTOR)
     amps = np.empty(size, dtype=complex)  # filled chunk by chunk; pages past the last are never touched
-    seg, start = None, 0
+    segs, start = [], 0
     for first in range(0, size, N_PANELS):
         end = min(first + N_PANELS, size)
         amps[first:end] = _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)[: end - first]
         try:
-            new = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR), start)
+            seg = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR), start)
         except NoNullsFoundError:
             if end == size:
                 raise
             start = end - 1  # no bin before it is a minimum
             continue
-        if seg is not None:
-            new = LobeSegmentation(
-                nulls=np.concatenate((seg.nulls, new.nulls[1:])),
-                peak_freqs=np.concatenate((seg.peak_freqs, new.peak_freqs)),
-                peak_db=np.concatenate((seg.peak_db, new.peak_db)),
-                last_min=new.last_min,
-            )
-        seg, start = new, new.last_min
+        segs.append(seg)
+        start = seg.last_min
         if end == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
-            return seg
+            break
+    return LobeSegmentation(
+        nulls=np.concatenate([segs[0].nulls] + [seg.nulls[1:] for seg in segs[1:]]),
+        peak_freqs=np.concatenate([seg.peak_freqs for seg in segs]),
+        peak_db=np.concatenate([seg.peak_db for seg in segs]),
+        last_min=segs[-1].last_min,
+    )
 
 
 def first_sidelobe(seg: LobeSegmentation) -> tuple:
@@ -166,6 +154,16 @@ def decay_scale(seg: LobeSegmentation) -> float:
     return float(seg.peak_freqs[first])
 
 
+def _walk(t, w, a: int, b: int) -> tuple:
+    """[t[a], t[b]] bisected for W = sqrt(2)/2 on known values w = W(t), indexed as Python floats,
+    while the midpoint index (a + b) / 2 is whole and the bracket is wider than BISECT_TOL."""
+    below = w[a] < HALF_AMPLITUDE  # a only moves to a midpoint on its own side
+    while (a + b) % 2 == 0 and t[b] - t[a] > BISECT_TOL:
+        mid = (a + b) // 2
+        a, b = (mid, b) if (w[mid] < HALF_AMPLITUDE) == below else (a, mid)
+    return t[a], t[b]
+
+
 def half_width_numeric(wdef: WindowDef) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
@@ -180,8 +178,9 @@ def half_width_numeric(wdef: WindowDef) -> float:
     never otherwise.  Then one window evaluation serves BISECT_BITS
     halvings of both brackets: it takes the 2**BISECT_BITS + 1 points those
     halvings can reach, built level by level as 0.5 * (a + b) like the
-    bisection's own midpoints, and the bisection then walks down them.  So
-    each edge has the bits of a bisection that evaluates one point per step.
+    bisection's own midpoints, and ``_walk``, the node stage's walk, then
+    runs down them.  So each edge has the bits of a bisection that
+    evaluates one point per step.
     """
     nodes = _node_values(wdef)
     at_ends = np.array([nodes[0], nodes[-1]]) >= HALF_AMPLITUDE  # W(0) and W(1)
@@ -189,13 +188,8 @@ def half_width_numeric(wdef: WindowDef) -> float:
     k_peak = t_peak * N_PANELS
     brackets = [(0.0, t_peak), (t_peak, 1.0)]
     if k_peak.is_integer():
-        brackets = []
-        for a, b in ((0, int(k_peak)), (int(k_peak), N_PANELS)):
-            while (a + b) % 2 == 0:  # the midpoint is a node
-                mid = (a + b) // 2
-                same = (nodes.item(a) < HALF_AMPLITUDE) == (nodes.item(mid) < HALF_AMPLITUDE)
-                a, b = (mid, b) if same else (a, mid)
-            brackets.append((a / N_PANELS, b / N_PANELS))
+        t, w, k = memoryview(_simpson_rule(N_PANELS)[0]), memoryview(nodes), int(k_peak)
+        brackets = [_walk(t, w, 0, k), _walk(t, w, k, N_PANELS)]
     lo, hi = np.array(brackets).T
     while (hi - lo > BISECT_TOL).any():
         grid = np.empty((2, 2 ** BISECT_BITS + 1))
@@ -203,13 +197,8 @@ def half_width_numeric(wdef: WindowDef) -> float:
         for level in range(BISECT_BITS):
             step = 2 ** (BISECT_BITS - level)
             grid[:, step // 2 :: step] = 0.5 * (grid[:, : -1 : step] + grid[:, step::step])
-        brackets = []
-        for t, below in zip(grid.tolist(), (window_eval(wdef, grid) < HALF_AMPLITUDE).tolist()):
-            a, b = 0, len(t) - 1
-            while b - a > 1 and t[b] - t[a] > BISECT_TOL:
-                mid = (a + b) // 2
-                a, b = (mid, b) if below[a] == below[mid] else (a, mid)
-            brackets.append((t[a], t[b]))
+        rows = zip(grid.tolist(), window_eval(wdef, grid).tolist())
+        brackets = [_walk(t, w, 0, 2 ** BISECT_BITS) for t, w in rows]
         lo, hi = np.array(brackets).T
     edges = np.where(at_ends, np.array([0.0, 1.0]), 0.5 * (lo + hi))
     return float(10.0 * (edges[1] - edges[0]))

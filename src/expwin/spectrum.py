@@ -156,8 +156,9 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
 
 
 def _band_size(f_max: float, pad_factor: int) -> int:
-    """How many of the frequencies k/pad_factor Hz, k >= 0, lie up to f_max (1e-12 Hz slack).
+    """How many k >= 0 have k/pad_factor, rounded to a float, at most f_max Hz.
 
+    Exact while f_max * pad_factor < 2^53, beyond any band that fits in memory.
     ValueError unless 2 <= pad_factor <= 2^53 and f_max is finite and >= 0.
     """
     if pad_factor < 2:
@@ -168,9 +169,9 @@ def _band_size(f_max: float, pad_factor: int) -> int:
         raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
     if not np.isfinite(f_max):
         raise ValueError(f"f_max must be finite, got {f_max:g}")
-    # Every k below int(f_max * pad_factor) lies inside; k/pad_factor rises with k.
+    # Every k below int(f_max * pad_factor) lies inside and k + 2 does not; k/pad_factor rises with k.
     k = int(f_max * pad_factor)
-    return k + sum(j / pad_factor <= f_max + 1e-12 for j in (k, k + 1))
+    return k + sum(j / pad_factor <= f_max for j in (k, k + 1))
 
 
 def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
@@ -190,20 +191,28 @@ def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0
     return Spectrum(amps, 1.0 / pad_factor)
 
 
-def _simpson_weights(panels: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _simpson_rule(panels: int) -> tuple:
+    """Read-only nodes k/panels, k = 0..panels, and their Simpson weights, kept for the last panel count.
+
+    ValueError unless panels is even and >= 2.
+    """
     if panels < 2 or panels % 2:
         raise ValueError(f"Simpson's rule needs an even number of panels >= 2, got {panels}")
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * panels)
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    rule = np.linspace(0.0, 1.0, panels + 1), weights / (3.0 * panels)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def spectrum_simpson(values: np.ndarray, f_max: float, m: int) -> Spectrum:
     """Composite-Simpson spectrum of the nodes W(k/P), k = 0..P, P even, at m frequencies 0..f_max Hz."""
     panels = values.size - 1
     df = f_max / max(m - 1, 1)
-    return Spectrum(_band_dft(_simpson_weights(panels) * values, 1.0 / panels, df, m), df)
+    return Spectrum(_band_dft(_simpson_rule(panels)[1] * values, 1.0 / panels, df, m), df)
 
 
 def _check_quadrature_limit(f_max: float) -> None:
@@ -224,7 +233,7 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     _check_quadrature_limit(f_max)
     panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
     panels += panels % 2
-    return spectrum_simpson(window_eval(wdef, np.linspace(0.0, 1.0, panels + 1)), f_max, m)
+    return spectrum_simpson(window_eval(wdef, _simpson_rule(panels)[0]), f_max, m)
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):

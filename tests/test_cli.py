@@ -94,11 +94,17 @@ class TestSpecGrammar:
             "exp:poly:m=1,m=2,n=1",
             "exp:sine:c=1,c=2",
             "exp:win:tukey:alpha=0.3,alpha=0.7",
+            "tukey:alpha",
+            "exp:sine:d=1",
         ],
     )
     def test_parse_errors_name_token(self, bad):
         with pytest.raises(SpecParseError):
             parse_window_spec(bad)
+
+    def test_format_rejects_non_window(self):
+        with pytest.raises(TypeError, match="cannot format"):
+            format_window_spec(object())
 
     @pytest.mark.parametrize("label_spec", TABLE_ROWS)
     def test_round_trip_table_rows(self, label_spec):
@@ -165,6 +171,11 @@ class TestSampleCommand:
         _, out, _ = run_cli(capsys, "sample", "sine", "--n", "4")
         w = [float(l.split(",")[1]) for l in out.strip().split("\n")[1:]]
         assert w == pytest.approx([0.0, math.sqrt(2) / 2, 1.0, math.sqrt(2) / 2], abs=1e-11)
+
+    def test_one_sample_fails(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "hann", "--n", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: n_samples must be >= 2, got 1\n"
 
     def test_parse_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "sample", "hann:alpha=1", "--n", "4")
@@ -307,6 +318,19 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, "spectrum", "hann", "--pad", "1" + "0" * 400, "--method", method)
         assert (code, out) == (1, "")
         assert err == "error: pad_factor must be at most 2^53, got about 10^400\n"
+
+    @pytest.mark.parametrize("method", ["fft", "quad"])
+    def test_pad_below_two_fails(self, capsys, method):
+        code, out, err = run_cli(capsys, "spectrum", "hann", "--pad", "1", "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: pad_factor must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("method", ["fft", "quad"])
+    def test_finest_grid_to_zero_prints_one_row(self, capsys, method):
+        # the next bin, 1/2^53 Hz, lies past --fmax 0
+        code, out, _ = run_cli(capsys, "spectrum", "hann", "--fmax", "0", "--pad", str(2 ** 53), "--method", method)
+        assert code == 0
+        assert out == "f_hz,abs,db\n0,0.5,0\n"
 
     def test_too_many_bins_names_band_size(self, capsys):
         # 5e10 bins of 1e-9 Hz to 50 Hz: the band is too large, not too sparse

@@ -46,6 +46,15 @@ class TestKernelEval:
         vec = kernel_eval(k, t)
         assert vec == pytest.approx([kernel_eval(k, float(x)) for x in t])
 
+    def test_negative_inside_rejected(self):
+        # B(t) = t - 1/2 is negative on (0, 1/2); its value at an endpoint is a limit, not checked
+        def kernel(t):
+            return np.asarray(t) - 0.5
+
+        with pytest.raises(InvalidKernelError, match=r"negative or NaN inside \(0,1\)"):
+            kernel_eval(kernel, np.array([0.25, 0.75]))
+        assert kernel_eval(kernel, np.array([0.0, 0.75])).tolist() == [-0.5, 0.25]
+
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidKernelError):
             PolynomialKernel(0, 1)

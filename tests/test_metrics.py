@@ -33,7 +33,7 @@ from expwin.spectrum import (
     Spectrum,
     _band_dft,
     _chirp_plan,
-    _simpson_weights,
+    _simpson_rule,
     segment_lobes,
     spectrum_simpson,
 )
@@ -114,8 +114,8 @@ class TestEnergyLeakage:
         panels = int(math.ceil(w0 / 0.00125))
         panels += panels % 2
         spec_s = spectrum_simpson(w, w0, panels + 1)
-        lobe = 2.0 * w0 * np.dot(_simpson_weights(panels), spec_s.magnitudes ** 2)
-        total = np.dot(_simpson_weights(N_PANELS), w ** 2)
+        lobe = 2.0 * w0 * np.dot(_simpson_rule(panels)[1], spec_s.magnitudes ** 2)
+        total = np.dot(_simpson_rule(N_PANELS)[1], w ** 2)
         assert abs(energy_leakage(w, w0) - 100.0 * (1.0 - lobe / total)) < 1e-6
 
     @pytest.mark.parametrize("label, spec", TABLE_ROWS)
@@ -130,7 +130,7 @@ class TestEnergyLeakage:
     def test_matches_np_sinc_form_bit_for_bit(self, label, spec):
         wdef = parse_window_spec(spec)
         w, w0 = _nodes(wdef), full_report(wdef).omega0_hz
-        g = _simpson_weights(N_PANELS) * w
+        g = _simpson_rule(N_PANELS)[1] * w
         r = np.fft.irfft(np.abs(np.fft.rfft(g, 2 * N_PANELS)) ** 2, 2 * N_PANELS)[: N_PANELS + 1]
         r[N_PANELS] = g[0] * g[N_PANELS]
         r[1:] *= 2.0 * np.sinc(2.0 * w0 * np.arange(1, N_PANELS + 1) / N_PANELS)
@@ -210,6 +210,10 @@ class TestHalfWidth:
         assert half_width_analytic(1.0) == pytest.approx(2.824, abs=0.001)
         assert half_width_analytic(0.5) == pytest.approx(5.23, abs=0.01)
         assert half_width_analytic(2.0) == pytest.approx(1.03, abs=0.01)
+
+    def test_analytic_rejects_non_positive_exponent(self):
+        with pytest.raises(ValueError, match="n must be > 0, got 0"):
+            half_width_analytic(0)
 
     @pytest.mark.parametrize("m, n", [(12, 13), (11, 12)])
     def test_set_narrower_than_grid_step(self, m, n):
@@ -368,7 +372,7 @@ class TestChunkedBand:
         # the band _band_lobes stops at, segmented whole from bin 0 after
         # each chunk: its lobes, or its error, bit for bit
         w = _nodes(wdef)
-        g = _simpson_weights(N_PANELS) * w
+        g = _simpson_rule(N_PANELS)[1] * w
         chunks = [
             _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first) for first in range(0, 64001, N_PANELS)
         ]

@@ -24,6 +24,13 @@ from expwin.specs import parse_window_spec
 from expwin.windows import ExpKernelWindow, catalog, sample, window_eval
 
 
+def _nudged(x, ulps):
+    """x moved by ``ulps`` floats up (> 0) or down (< 0), but not below 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return max(x, 0.0)
+
+
 def _sinc_mag(f):
     return abs(math.sin(math.pi * f) / (math.pi * f)) if f else 1.0
 
@@ -98,6 +105,18 @@ class TestSpectrumFFT:
 
     def test_pad_at_limit_has_a_band_size(self):
         assert _band_size(50.0, 2 ** 53) > 50 * 2 ** 53
+
+    @given(data=st.data())
+    def test_band_size_counts_grid_points_up_to_fmax(self, data):
+        # every k >= 0 whose float k/pad is at most f_max, counted one by
+        # one; f_max drawn freely or at a grid point moved by up to 2 ulps
+        pad = data.draw(st.integers(2, 1000), label="pad")
+        on_grid = st.builds(_nudged, st.integers(0, 10 * pad).map(lambda k: k / pad), st.integers(-2, 2))
+        f_max = data.draw(st.one_of(st.floats(0.0, 10.0), on_grid), label="f_max")
+        count = 0
+        while count / pad <= f_max:
+            count += 1
+        assert _band_size(f_max, pad) == count
 
 
 class TestChirpPlan:
@@ -244,6 +263,10 @@ class TestSpectrumQuadrature:
         # dt*df*k^2 reaches 2.6e10, where float64 keeps too few digits
         with pytest.raises(ValueError, match="chirp-z phase"):
             spectrum_quadrature(catalog("rectangular"), 20000.3, 2)
+
+    def test_no_frequencies_rejected(self):
+        with pytest.raises(ValueError, match="need m >= 1 frequencies"):
+            spectrum_quadrature(catalog("hann"), 1.0, 0)
 
     def test_frequency_limit(self):
         with pytest.raises(ValueError, match="32768"):

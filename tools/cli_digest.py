@@ -65,6 +65,7 @@ GRID_ARGVS = [
     ["spectrum", "hann", "--n", "1000", "--fmax", "20"],
     ["sample", "hann", "--n", "1000"],
     ["spectrum", "exp:poly:m=0.05,n=3", "--fmax", "2"],
+    ["spectrum", "hann", "--fmax", "0", "--pad", "9007199254740992"],
     ["spectrum", "hann"],
 ]
 

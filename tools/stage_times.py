@@ -11,7 +11,8 @@ window through ``window_eval``, two grids of 2 x 129 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
 The ``segment_lobes`` line also gives the bins it searched per table: each
 64 Hz chunk once, from the band's last minimum on.  The whole table is
-timed REPEATS times and each stage keeps its best sum.  The last line
+timed REPEATS times and each stage keeps its best sum.  Then comes the line
+count of the imported package's source, ``expwin/*.py``, and the last line
 gives the minor page faults (``ru_minflt``) of the first pass, which
 faults in every buffer the rows need, and of the pass with the best total.
 The expwin package is the one on the import path, so two checkouts
@@ -22,7 +23,9 @@ compare with::
 """
 import resource
 import time
+from pathlib import Path
 
+import expwin
 from expwin import TABLE_ROWS, metrics
 from expwin.specs import parse_window_spec
 
@@ -85,6 +88,9 @@ def main():
     totals = [sum(run[0].values()) for run in runs]
     best = totals.index(min(totals))
     print(f"{'total':20s} {totals[best]:.3f} s")
+    package = Path(expwin.__file__).parent
+    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    print(f"{'source lines':20s} {lines:6d} in {package}")
     print(f"{'minor faults':20s} {faults[0]:6d} cold {faults[best]:6d} best pass")
 
 
