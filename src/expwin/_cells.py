@@ -1,0 +1,116 @@
+"""The "%.12g" text of float64 columns in numpy arithmetic.  With
+e = floor(log10|x|), x * 10**(11 - e) is a double-double (Dekker's product
+with 10**(11 - e) made from exact integers) exact to about 1e-19 of a unit,
+rounded to the 12-digit integer q; its digits come from a table of 4-digit
+chunks.  A cell is four little-endian words, NUL for an absent byte: sign and
+"0.000" prefix, the 12 digits with the '.' shifted in, exponent and
+separator.  Zero, inf, NaN, |e| > EMAX and a fraction within 2**-20 of 1/2
+(ties among them) are %-formatted."""
+import functools
+
+import numpy as np
+
+WORD = np.dtype("<u8")
+EMAX = 277  # |e| limit of the array path: 10**(11 - e) and its Dekker split stay finite
+
+
+@functools.cache
+def tables():
+    """Per 4-digit chunk its ASCII, in the high half with trailing zeros NUL;
+    per e + EMAX, digit masks, '.', exponent and prefix words; 10**(11 - e),
+    zero until e is met.  Built from Python bytes, faulting in no numpy code."""
+    chunks = bytearray(40000)
+    for i in range(4):  # digit i of chunk c is c // 10**(3 - i) % 10
+        chunks[i::4] = b"".join(b"%d" % d * 10 ** (3 - i) for d in range(10)) * 10**i
+    stripped = bytearray(chunks)
+    for k in range(1, 5):  # the k-th digit from the right of every multiple of 10**k
+        stripped[4 - k :: 4 * 10**k] = bytes(10 ** (4 - k))
+    digits = memoryview(bytearray(80000)).cast("I")
+    digits[0::2], digits[1::2] = memoryview(chunks).cast("I"), memoryview(stripped).cast("I")
+    word = lambda s: int.from_bytes(s.encode(), "little")
+    by_e = []
+    for e in range(-EMAX, EMAX + 2):
+        fixed = -4 <= e < 12  # "%.12g" writes no exponent
+        dot = max(e + 1, 0) if fixed else 1  # digits before the '.'
+        low_head, low_tail = (1 << 8 * min(dot, 8)) - 1, (1 << 8 * max(dot - 8, 0)) - 1
+        point = 46 << 8 * (dot % 8) if dot else 0
+        exp = "" if fixed else "e%+03d" % e
+        zeros = "0." + "0" * (-1 - e) if e < 0 and fixed else ""
+        by_e.append([low_head, ~low_head % 2**64, low_tail, ~low_tail % 2**64, point * (dot < 8),
+                     point * (dot >= 8), word(exp), word(zeros), word("-" + zeros)])
+    by_e = b"".join(v.to_bytes(8, "little") for row in zip(*by_e) for v in row)
+    return np.frombuffer(digits, WORD), np.frombuffer(by_e, WORD).reshape(9, -1), np.zeros((4, 2 * EMAX + 1))
+
+
+def pow10(ei: np.ndarray) -> np.ndarray:
+    """Rows hi, Dekker's halves of hi, and lo, with hi + lo = 10**(11 - e)
+    to about 2**-106, for e = ei - EMAX, each made from exact integers."""
+    powers = tables()[2]
+    if not powers[0].take(ei).all():
+        for i in set(ei.tolist()):
+            num, den = 10 ** max(11 + EMAX - i, 0), 10 ** max(i - 11 - EMAX, 0)
+            hi = num / den  # correctly rounded
+            n, d = hi.as_integer_ratio()
+            split = hi * 134217729.0
+            half = split - (split - hi)
+            powers[1:, i] = half, hi - half, (num * d - n * den) / (den * d)
+            powers[0, i] = hi  # last: a row is in use once its hi is set
+    return powers.take(ei, axis=1)
+
+
+def round12(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """q's digits, a word of 8 and one of 4 with trailing zeros NUL; e + EMAX;
+    and where they hold.  In float64, whose loops the spectrum already ran."""
+    digits = tables()[0]
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = np.abs(e) <= EMAX
+    a, e = np.where(ok, a, 1.0), np.where(ok, e, 0.0)
+    hi, h1, h2, lo = pow10(e.astype(np.intp) + EMAX)
+    p = a * hi  # Dekker's two-product: p + err = a * hi exactly
+    a1 = a * 134217729.0
+    a1 -= a1 - a
+    a2 = a - a1
+    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    del a, a1, a2, hi, h1, h2, lo  # held arrays raise the heap high-water mark the process keeps
+    whole = np.floor(p)
+    frac = (p - whole) + err
+    q = whole + np.floor(frac + 0.5)
+    carry = q == 1e12
+    q, e = np.where(carry, 1e11, q), np.where(carry, e + 1.0, e)
+    ok &= (np.abs(frac - 0.5) >= 2.0**-20) & (q >= 1e11) & (q < 1e12)
+    c12 = np.floor(q / 1e4)  # exact: q / 1e4 is 1e-4 or more below the next integer
+    c1 = np.floor(c12 / 1e4)
+    c2, c3 = (c12 - c1 * 1e4).astype(np.intp), (q - c12 * 1e4).astype(np.intp)
+    # a chunk's trailing zeros are NUL where no nonzero chunk follows it
+    head = digits.take(c1.astype(np.intp)) >> np.where(c2 + c3 == 0, 32, 0).astype(WORD) & np.uint64(0xFFFFFFFF)
+    head |= digits.take(c2) >> np.where(c3 == 0, 32, 0).astype(WORD) << np.uint64(32)
+    return head, digits.take(c3) >> np.uint64(32), e.astype(np.intp) + EMAX, ok
+
+
+def write(x: np.ndarray, sep: str, out: np.ndarray) -> None:
+    """Write the "%.12g" text of each element of x, then sep, to out's rows."""
+    by_e = tables()[1]
+    head, tail, ei, ok = round12(x)
+    low_head, high_head, low_tail, high_tail = (by_e[i].take(ei) for i in range(4))
+    head |= low_head & np.uint64(0x3030303030303030)  # an integer part keeps its zeros
+    tail |= low_tail & np.uint64(0x30303030)
+    rest_head, rest_tail = head & high_head, tail & high_tail
+    point = (rest_head | rest_tail).astype(bool)  # a digit follows the '.'
+    out[:, 0] = by_e[7:].reshape(-1).take(ei + np.signbit(x) * by_e.shape[1])  # plus, then minus prefixes
+    out[:, 1] = (head & low_head) | rest_head << np.uint64(8) | np.where(point, by_e[4].take(ei), 0)
+    out[:, 2] = (tail & low_tail) | rest_tail << np.uint64(8) | rest_head >> np.uint64(56)
+    out[:, 2] |= np.where(point, by_e[5].take(ei), 0)
+    out[:, 3] = by_e[6].take(ei) | np.uint64(ord(sep)) << np.uint64(56)
+    for k in np.flatnonzero(~ok).tolist():
+        out[k] = np.frombuffer(("%.12g" % x[k]).encode().ljust(31, b"\0") + sep.encode(), WORD)
+
+
+@functools.lru_cache(maxsize=1)
+def grid(rows: int, divisor: int) -> np.ndarray:
+    """The encoded cells of k/divisor, k < rows, each then ",", kept for the last grid written."""
+    cells = np.empty((rows, 4), WORD)
+    write(np.arange(rows) / divisor, ",", cells)
+    cells.flags.writeable = False
+    return cells

@@ -9,13 +9,11 @@ Handlers return their whole output; ``main`` writes it to stdout or
 ``--out`` only on success.  Every failure, a ``table`` row included,
 exits 1 with ``error: <message>`` on stderr and leaves ``--out`` as it was.
 
-CSV text is made by one %-format per response.  The grid column is
-k/divisor for row k: k/``--pad`` Hz for both spectrum methods, k/``--n`` for
-``sample``.  A process that calls ``main`` more than once keeps two things
-between calls: the argument parser, built on the first call, and the text of
-the last grid column formatted, keyed by its row count and divisor.  For the
-default 6401-row band that text takes about 0.42 MB (``sys.getsizeof`` of
-the tuple and its strings).  Every call parses into a fresh namespace.
+CSV cells have the bytes of ``"%.12g" % x`` (``expwin._cells``); row k of
+the grid column is k/``--pad`` Hz for a spectrum, k/``--n`` for ``sample``.
+Between calls of ``main`` a process keeps the argument parser, the CSV
+writer's tables and the encoded cells of the last grid column (0.20 MB for
+the default 6401-row band); every call parses into a fresh namespace.
 """
 from __future__ import annotations
 
@@ -34,21 +32,17 @@ from .metrics import MetricsReport, full_report
 from .windows import CATALOG, sample
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_cells(rows: int, divisor: int) -> tuple[str, ...]:
-    """The "%.12g" text of k/divisor, k < rows, kept for the last grid formatted."""
-    return tuple(["%.12g" % x for x in (np.arange(rows) / divisor).tolist()])
-
-
 def _csv(header: str, divisor: int, *columns: np.ndarray) -> str:
     """CSV text: the header line, then row k holds k/divisor and element k
     of every float64 column, each as "%.12g" (the same text as "{:.12g}")."""
-    k, n = 1 + len(columns), columns[0].size
-    cells = [None] * (k * n)
-    cells[0::k] = _grid_cells(n, divisor)
+    from . import _cells  # on first use: a process that writes no CSV compiles none of it
+    n = columns[0].size
+    text = bytearray(32 * n * (1 + len(columns)))
+    words = np.frombuffer(text, _cells.WORD).reshape(n, 1 + len(columns), 4)
+    words[:, 0] = _cells.grid(n, divisor)
     for i, c in enumerate(columns, 1):
-        cells[i::k] = c.tolist()
-    return header + "\n" + ("%s" + ",%.12g" * len(columns) + "\n") * n % tuple(cells)
+        _cells.write(c, "\n" if i == len(columns) else ",", words[:, i])
+    return header + "\n" + text.translate(None, b"\0").decode("ascii")
 
 
 def cmd_list(args) -> str:

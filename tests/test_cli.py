@@ -14,8 +14,9 @@ from expwin.cli import _csv, build_parser, main
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import MetricsError
 from expwin.specs import SpecParseError, format_window_spec, parse_window_spec
+from expwin.spectrum import spectrum_fft
 from expwin.table import TABLE_ROWS
-from expwin.windows import CatalogWindow, ExpKernelWindow, catalog
+from expwin.windows import CatalogWindow, ExpKernelWindow, catalog, sample
 from strategies import catalog_windows, kernels
 
 # `expwin table --format csv`, byte for byte.  A change that moves a cell
@@ -547,6 +548,53 @@ class TestCsvWriter:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "")
             assert [r.split(",")[0] for r in out.split("\n")[1:-1]] == [f"{x:.12g}" for x in grid]
+
+
+def _nudged(x):
+    """x and its neighbours one ulp below and above."""
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def _boundary_floats():
+    """Cells where "%.12g" is hardest to get right: halfway cases of the 12th
+    digit, powers of ten, the carry into a 13th digit, the exponents around
+    the array path's limit of 1e+-277, and the special and subnormal values."""
+    rng = np.random.default_rng(27)
+    mantissas, exps = rng.integers(10**11, 10**12, 4096).tolist(), rng.integers(-300, 301, 4096).tolist()
+    halves = [float(f"{m}5e{k - 12}") for m, k in zip(mantissas, exps)]
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    nines = [float(f"999999999999.5e{k}") for k in range(-320, 297)]
+    limit = [float(f"{m}e{s}{k}") for m in (1, 3.3, 9.9999999999995) for s in "+-" for k in range(274, 286)]
+    finite = _nudged(np.array(halves + powers + nines + limit))
+    subnormals = rng.integers(1, 2**52, 256, dtype=np.uint64).view(np.float64)
+    return np.concatenate([finite, -finite, subnormals, -subnormals, SPECIAL_FLOATS, [0.0]])
+
+
+class TestCsvWriterBulk:
+    """The array writer against the per-cell one on whole columns, far
+    larger than the property above draws."""
+
+    @staticmethod
+    def check(header, divisor, *columns):
+        grid = np.arange(columns[0].size) / divisor
+        got, want = _csv(header, divisor, *columns), _csv_per_cell(header, grid, *columns)
+        assert got == want, [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:5]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2718).integers(0, 2**64, 2**18, dtype=np.uint64, endpoint=False)
+        self.check("k,a,b,c,d", 7, *bits.view(np.float64).reshape(4, -1))
+
+    def test_boundary_values(self):
+        self.check("k,x", 3, _boundary_floats())
+
+    @pytest.mark.parametrize("spec", ["hann", "exp:poly:m=1.3,n=2.1", "rectangular"])
+    def test_default_spectrum_band(self, spec):
+        s = spectrum_fft(sample(parse_window_spec(spec), 8192), pad_factor=128, f_max=50.0)
+        assert s.amplitudes.size == 6401
+        self.check("f_hz,abs,db", 128, s.magnitudes, s.db)
+
+    def test_single_row(self):
+        self.check("t,w", 64, np.array([0.123456789012345]))
 
 
 class TestCachedParser:

@@ -15,10 +15,11 @@ with::
 The set covers ``list``; ``table`` as CSV and markdown; ``metrics``, FFT
 ``spectrum`` and ``sample`` for the table rows, the catalog ids, their
 ``exp:win:`` forms and a few more specs; quadrature spectra of the catalog
-ids at four band settings; catalog windows at extreme parameters; a run of
-spectra and samples whose grid changes from one invocation to the next; and
-error paths.  No invocation allocates more than about 100 MB.  Warnings are
-printed without their source path, so they compare across checkouts.
+ids at four band settings; catalog windows at extreme parameters; a sample
+whose values span 1 to 1e-289; a run of spectra and samples whose grid
+changes from one invocation to the next; and error paths.  No invocation
+allocates more than about 100 MB.  Warnings are printed without their
+source path, so they compare across checkouts.
 """
 import contextlib
 import hashlib
@@ -124,6 +125,9 @@ def invocations():
             yield ["spectrum", wid, "--method", "quad", *band]
     for spec in EXTREME_SPECS:
         yield ["sample", spec, "--n", "4"]
+    # values from 1 down to about 1e-289: CSV cells on both sides of the
+    # writer's 1e-277 limit, past which a cell is %-formatted on its own
+    yield ["sample", "gaussian:sigma=0.0137", "--n", "64"]
     yield from GRID_ARGVS
     yield from ERROR_ARGVS
 

@@ -11,7 +11,10 @@ window through ``window_eval``, two grids of 2 x 129 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
 The ``segment_lobes`` line also gives the bins it searched per table: each
 64 Hz chunk once, from the band's last minimum on.  The whole table is
-timed REPEATS times and each stage keeps its best sum.  Then comes the line
+timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
+gives the best of REPEATS calls of ``expwin.cli._csv`` on the default
+``expwin spectrum hann`` band, 6401 rows of frequency, amplitude and dB,
+the CSV writer that ``spectrum`` and ``sample`` end in.  Then comes the line
 count of the imported package's source, ``expwin/*.py``, and the last line
 gives the minor page faults (``ru_minflt``) of the first pass, which
 faults in every buffer the rows need, and of the pass with the best total.
@@ -26,8 +29,10 @@ import time
 from pathlib import Path
 
 import expwin
-from expwin import TABLE_ROWS, metrics
+from expwin import TABLE_ROWS, cli, metrics
 from expwin.specs import parse_window_spec
+from expwin.spectrum import spectrum_fft
+from expwin.windows import sample
 
 REPEATS = 3
 STAGES = ("window_eval", "_band_dft", "segment_lobes", "energy_leakage", "half_width_numeric", "full_report")
@@ -71,6 +76,17 @@ def table_stage_sums():
     return sums, calls, bins[0]
 
 
+def csv_seconds():
+    """Best wall time of the CSV writer on the default ``spectrum hann`` band."""
+    s = spectrum_fft(sample(parse_window_spec("hann"), 8192), pad_factor=128, f_max=50.0)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        cli._csv("f_hz,abs,db", 128, s.magnitudes, s.db)
+        times.append(time.perf_counter() - t0)
+    return min(times), s.amplitudes.size
+
+
 def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -88,6 +104,8 @@ def main():
     totals = [sum(run[0].values()) for run in runs]
     best = totals.index(min(totals))
     print(f"{'total':20s} {totals[best]:.3f} s")
+    seconds, rows = csv_seconds()
+    print(f"{'_csv':20s} {seconds:.4f} s {rows:5d} rows of spectrum hann")
     package = Path(expwin.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"{'source lines':20s} {lines:6d} in {package}")
