@@ -86,14 +86,19 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     is kept so a chunked band faults it in once.  It has its own anonymous
     mapping, not malloc's heap: a long-lived block there would keep the heap
     from shrinking back below it, and the rows' transient arrays would fault
-    fresh pages in above it.  Only the last plan is kept, until a band of
-    another shape replaces it: 16 bytes times max(n, m) plus twice the power
-    of two >= n + m - 1.  The table rows' chunks of 8192 bins over 8193 nodes
-    share one, about 0.4 MB with 0.26 MB of buffer (n + m - 1 = 16384, no
-    padding); a quadrature band to 32768 Hz at 128 bins per Hz holds about
-    200 MB with 134 MB of buffer.
+    fresh pages in above it.  The FFT size is the least 2^k, 3*2^k or 5*2^k
+    >= n + m - 1: radix-3 and radix-5 passes cost about what radix-2 ones do
+    per point, and the table's chunks and the default FFT band keep their
+    16384.  Only the last plan is kept, until a band of another shape
+    replaces it: 16 bytes times max(n, m) plus the FFT size for chirp and
+    kernel FFT, and 16 bytes times the FFT size for the buffer.  The table rows' chunks of
+    8192 bins over 8193 nodes share one, about 0.4 MB plus 0.26 MB of buffer
+    (n + m - 1 = 16384, no padding); the default quadrature band, 6401 bins
+    over 32769 nodes, holds about 1.2 MB plus 0.66 MB (39169 padded to
+    40960); a quadrature band to 32768 Hz at 128 bins per Hz about 200 MB
+    plus 134 MB (3*2^21 + 1 padded to 2^23).
     """
-    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
+    size = min(c << ((n + m - 2) // c).bit_length() for c in (1, 3, 5))  # least c*2^k >= n + m - 1
     k2 = np.arange(max(n, m), dtype=float) ** 2
     chirp = np.exp(1j * np.pi * np.fmod(a * k2, 2.0))
     kernel = np.zeros(size, dtype=complex)
@@ -130,8 +135,8 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
-    a = dt*df, done by power-of-two FFTs in place in the work buffer of the
-    plan ``_chirp_plan`` keeps for (n, m, a); ``first`` > 0 turns g_k by
+    a = dt*df, done by FFTs in place in the work buffer of the plan
+    ``_chirp_plan`` keeps for (n, m, a); ``first`` > 0 turns g_k by
     exp(2*pi*i*first*a*k) first.  The phases a*k^2 and first*a*k are
     reduced mod 2 and mod 1, so they stay exact whenever a is a power of
     two; otherwise their absolute error grows with the phase, which is why

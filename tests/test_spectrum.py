@@ -150,6 +150,33 @@ class TestChirpPlan:
             direct = np.sum(g * np.exp(2j * np.pi * (j * df) * (k * dt)))
             assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), m=st.integers(1, 3000))
+    def test_fft_size_is_least_of_three_families(self, n, m):
+        # every c * 2^k, c in {1, 3, 5}, up to the first one at or above n + m - 1
+        least = min(next(c << k for k in range(64) if c << k >= n + m - 1) for c in (1, 3, 5))
+        assert _chirp_plan(n, m, 2.0 ** -20)[1].size == least
+
+    @pytest.mark.parametrize(
+        "n, m, size",
+        [(8193, 8192, 16384), (8192, 6401, 16384), (32769, 6401, 40960)],
+        ids=["table chunk", "default spectrum", "default quadrature"],
+    )
+    def test_fft_size_of_default_bands(self, n, m, size):
+        assert _chirp_plan(n, m, 2.0 ** -20)[1].size == size
+
+    # n + m - 1 = 599 pads to 5 * 2^7 and 749 to 3 * 2^8; dt*df = 2^-16 keeps
+    # the direct sum's phases j*k*dt*df exact.
+    @pytest.mark.parametrize("n, m, size, first", [(400, 200, 640, 0), (500, 250, 768, 0), (500, 250, 768, 3000)])
+    def test_radix_three_and_five_sizes_match_direct_sum(self, n, m, size, first):
+        g = np.random.default_rng(n + first).standard_normal(n)
+        dt, df = 1 / 512, 1 / 128
+        got = _band_dft(g, dt, df, m, first)
+        assert _chirp_plan(n, m, dt * df)[1].size == size
+        jk = np.outer(np.arange(first, first + m), np.arange(n)).astype(float)
+        direct = np.exp(2j * np.pi * np.fmod(jk * (dt * df), 1.0)) @ g
+        assert np.max(np.abs(got - direct)) < 1e-13 * np.sum(np.abs(g))
+
     @pytest.mark.parametrize("c", range(1, 8))
     def test_band_from_later_bin_matches_slice_of_whole_band(self, c):
         # the chunks of a table row: 8193 nodes, 8192 bins, dt*df = 2^-20
@@ -321,7 +348,7 @@ class TestCrossPathProperties:
 
 def _segment_loop(s):
     """Reference segmentation, one null and one lobe at a time."""
-    mag, db, h = s.magnitudes, s.db, s.df
+    mag, db, f, h = s.magnitudes, s.db, s.frequencies, s.df
 
     def vertex(x0, ym, y0, yp):
         denom = ym - 2.0 * y0 + yp
@@ -331,11 +358,11 @@ def _segment_loop(s):
         return x0 + delta * h, y0 - 0.25 * (ym - yp) * delta
 
     mins = [i for i in range(1, mag.size - 1) if mag[i - 1] > mag[i] <= mag[i + 1]]
-    nulls = [vertex(s.frequencies[i], mag[i - 1], mag[i], mag[i + 1])[0] for i in mins]
+    nulls = [vertex(f[i], mag[i - 1], mag[i], mag[i + 1])[0] for i in mins]
     peaks = []
     for a, b in zip(mins[:-1], mins[1:]):
         k = a + 1 + int(np.argmax(mag[a + 1 : b]))
-        peaks.append(vertex(s.frequencies[k], db[k - 1], db[k], db[k + 1]))
+        peaks.append(vertex(f[k], db[k - 1], db[k], db[k + 1]))
     peaks = np.array(peaks, dtype=float).reshape(-1, 2)
     return np.array(nulls), peaks[:, 0], peaks[:, 1]
 
