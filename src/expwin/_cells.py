@@ -1,24 +1,24 @@
 """The "%.12g" text of float64 columns in numpy arithmetic.  With
-e = floor(log10|x|), x * 10**(11 - e) is a double-double (Dekker's product
-with 10**(11 - e) made from exact integers) exact to about 1e-19 of a unit,
-rounded to the 12-digit integer q; its digits come from a table of 4-digit
-chunks.  A cell is four little-endian words, NUL for an absent byte: sign and
-"0.000" prefix, the 12 digits with the '.' shifted in, exponent and
-separator.  Zero, inf, NaN, |e| > EMAX and a fraction within 2**-20 of 1/2
-(ties among them) are %-formatted."""
+e = floor(log10|x|), |x| times 10**(11 - e) correctly rounded from exact
+integers is within 2**-12 of |x| * 10**(11 - e), and is rounded to the
+12-digit integer q; its digits come from a table of 4-digit chunks.  A cell
+is four little-endian words, NUL for an absent byte: sign and "0.000"
+prefix, the 12 digits with the '.' shifted in, exponent and separator.
+Zero, inf, NaN, |e| > EMAX and a product within 2**-12 of a half (ties
+among them) are %-formatted."""
 import functools
 
 import numpy as np
 
 WORD = np.dtype("<u8")
-EMAX = 277  # |e| limit of the array path: 10**(11 - e) and its Dekker split stay finite
+EMAX = 277  # |e| limit of the array path; 10**(11 - e) is finite and normal within it
 
 
 @functools.cache
 def tables():
     """Per 4-digit chunk its ASCII, in the high half with trailing zeros NUL;
-    per e + EMAX, digit masks, '.', exponent and prefix words; 10**(11 - e),
-    zero until e is met.  Built from Python bytes, faulting in no numpy code."""
+    per e + EMAX, digit masks, '.', exponent and prefix words, and
+    10**(11 - e), zero until e is met.  Built from Python bytes, faulting in no numpy code."""
     chunks = bytearray(40000)
     for i in range(4):  # digit i of chunk c is c // 10**(3 - i) % 10
         chunks[i::4] = b"".join(b"%d" % d * 10 ** (3 - i) for d in range(10)) * 10**i
@@ -39,47 +39,36 @@ def tables():
         by_e.append([low_head, ~low_head % 2**64, low_tail, ~low_tail % 2**64, point * (dot < 8),
                      point * (dot >= 8), word(exp), word(zeros), word("-" + zeros)])
     by_e = b"".join(v.to_bytes(8, "little") for row in zip(*by_e) for v in row)
-    return np.frombuffer(digits, WORD), np.frombuffer(by_e, WORD).reshape(9, -1), np.zeros((4, 2 * EMAX + 1))
+    return np.frombuffer(digits, WORD), np.frombuffer(by_e, WORD).reshape(9, -1), np.zeros(2 * EMAX + 1)
 
 
 def pow10(ei: np.ndarray) -> np.ndarray:
-    """Rows hi, Dekker's halves of hi, and lo, with hi + lo = 10**(11 - e)
-    to about 2**-106, for e = ei - EMAX, each made from exact integers."""
+    """10**(11 - e) correctly rounded, for e = ei - EMAX, made from exact integers."""
     powers = tables()[2]
-    if not powers[0].take(ei).all():
+    if not powers.take(ei).all():
         for i in set(ei.tolist()):
-            num, den = 10 ** max(11 + EMAX - i, 0), 10 ** max(i - 11 - EMAX, 0)
-            hi = num / den  # correctly rounded
-            n, d = hi.as_integer_ratio()
-            split = hi * 134217729.0
-            half = split - (split - hi)
-            powers[1:, i] = half, hi - half, (num * d - n * den) / (den * d)
-            powers[0, i] = hi  # last: a row is in use once its hi is set
-    return powers.take(ei, axis=1)
+            powers[i] = 10 ** max(11 + EMAX - i, 0) / 10 ** max(i - 11 - EMAX, 0)  # correctly rounded
+    return powers.take(ei)
 
 
 def round12(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """q's digits, a word of 8 and one of 4 with trailing zeros NUL; e + EMAX;
-    and where they hold.  In float64, whose loops the spectrum already ran."""
+    and where they hold.  In float64, whose loops the spectrum already ran.
+    For p < 2**40, p = |x| * fl(10**(11 - e)) misses |x| * 10**(11 - e) by
+    under 2**40 * 2**-53 + ulp(p) / 2 <= 2**-13 + 2**-14, so p rounds as that
+    product does wherever p lies 2**-12 or more from a half."""
     digits = tables()[0]
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
     ok = np.abs(e) <= EMAX
-    a, e = np.where(ok, a, 1.0), np.where(ok, e, 0.0)
-    hi, h1, h2, lo = pow10(e.astype(np.intp) + EMAX)
-    p = a * hi  # Dekker's two-product: p + err = a * hi exactly
-    a1 = a * 134217729.0
-    a1 -= a1 - a
-    a2 = a - a1
-    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
-    del a, a1, a2, hi, h1, h2, lo  # held arrays raise the heap high-water mark the process keeps
-    whole = np.floor(p)
-    frac = (p - whole) + err
-    q = whole + np.floor(frac + 0.5)
+    p, e = np.where(ok, a, 1.0), np.where(ok, e, 0.0)
+    del a  # held arrays raise the heap high-water mark the process keeps
+    p *= pow10(e.astype(np.intp) + EMAX)
+    q = np.rint(p)
+    ok &= (np.abs(p - q) <= 0.5 - 2.0**-12) & (q >= 1e11) & (q <= 1e12)
     carry = q == 1e12
     q, e = np.where(carry, 1e11, q), np.where(carry, e + 1.0, e)
-    ok &= (np.abs(frac - 0.5) >= 2.0**-20) & (q >= 1e11) & (q < 1e12)
     c12 = np.floor(q / 1e4)  # exact: q / 1e4 is 1e-4 or more below the next integer
     c1 = np.floor(c12 / 1e4)
     c2, c3 = (c12 - c1 * 1e4).astype(np.intp), (q - c12 * 1e4).astype(np.intp)

@@ -98,36 +98,23 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
 
     The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) in one
     array of the full size until it holds a peak below DECAY_THRESHOLD_DB,
-    the last lobe a metric reads.
-    Each chunk is segmented once, on from the band's last minimum, whose
-    null is then dropped as a repeat.  A lobe's null and peak depend only on
-    its own bins and their neighbours, so these are the whole band's first
-    lobes; only the whole band raises.
+    the last lobe a metric reads.  After each chunk the whole band so far is
+    segmented; only the whole band raises.
     """
     g = _simpson_rule(N_PANELS)[1] * w
     size = _band_size(F_MAX, PAD_FACTOR)
     amps = np.empty(size, dtype=complex)  # filled chunk by chunk; pages past the last are never touched
-    segs, start = [], 0
     for first in range(0, size, N_PANELS):
         end = min(first + N_PANELS, size)
         amps[first:end] = _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)[: end - first]
         try:
-            seg = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR), start)
+            seg = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR))
         except NoNullsFoundError:
             if end == size:
                 raise
-            start = end - 1  # no bin before it is a minimum
             continue
-        segs.append(seg)
-        start = seg.last_min
         if end == size or (seg.peak_db < DECAY_THRESHOLD_DB).any():
-            break
-    return LobeSegmentation(
-        nulls=np.concatenate([segs[0].nulls] + [seg.nulls[1:] for seg in segs[1:]]),
-        peak_freqs=np.concatenate([seg.peak_freqs for seg in segs]),
-        peak_db=np.concatenate([seg.peak_db for seg in segs]),
-        last_min=segs[-1].last_min,
-    )
+            return seg
 
 
 def first_sidelobe(seg: LobeSegmentation) -> tuple:

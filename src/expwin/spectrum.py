@@ -41,9 +41,9 @@ def _db(mag: np.ndarray, dc: float) -> np.ndarray:
 class Spectrum:
     """Complex spectrum on the band k*df Hz, k = 0, 1, ..., from 0 Hz.
 
-    dB values are relative to the f=0 amplitude ``dc``, so a zero or
-    non-finite DC value raises ValueError; they and the frequencies are
-    computed when read.
+    dB values are relative to the f=0 amplitude ``dc``, so an empty band or
+    a zero or non-finite DC value raises ValueError; they and the
+    frequencies are computed when read.
     """
 
     amplitudes: np.ndarray
@@ -51,6 +51,8 @@ class Spectrum:
     dc: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.amplitudes.size == 0:
+            raise ValueError("an empty band has no DC value; dB levels are undefined")
         self.dc = float(np.abs(self.amplitudes[:1])[0])  # array np.abs: a scalar's can differ in the last bit
         if not (np.isfinite(self.dc) and self.dc > 0.0):
             raise ValueError(f"DC value |W^(0)| = {self.dc:g} is zero or not finite; dB levels are undefined")
@@ -75,7 +77,6 @@ class LobeSegmentation:
     nulls: np.ndarray              # Hz, strictly increasing
     peak_freqs: np.ndarray         # Hz, peak i lies between nulls i and i+1
     peak_db: np.ndarray            # dB relative to the f=0 amplitude
-    last_min: int = -1             # bin of the last null's grid minimum, where a grown band is segmented on
 
 
 @functools.lru_cache(maxsize=1)
@@ -257,29 +258,25 @@ def _parabolic_vertex(x0, h, ym, y0, yp):
         )
 
 
-def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
+def segment_lobes(s: Spectrum) -> LobeSegmentation:
     """Locate spectrum nulls and the sidelobe peaks between them.
 
     Nulls are local minima of |Fhat| on the grid, refined by 3-point
     parabolic interpolation; windows without true spectral zeros still
     yield nulls through their local minima.  Each peak is the first
     largest grid magnitude strictly between consecutive nulls, refined
-    on the dB values.  Only bins from ``start`` on are searched for
-    minima, so a band that grows can be segmented one piece at a time:
-    from the ``last_min`` of the segmentation before, whose null is then
-    found again as the first.
+    on the dB values.
     """
     if s.amplitudes.size < 3:
         raise NoNullsFoundError(f"a spectrum of {s.amplitudes.size} bins has no local minimum")
     if s.df > 0.02 + 1e-12:
         raise ValueError(f"grid spacing {s.df} Hz too coarse for segmentation")
-    lo = max(start, 1) - 1  # mag, mins and k below count bins from lo
-    mag = np.abs(s.amplitudes[lo:])
+    mag = np.abs(s.amplitudes)
     mins = np.flatnonzero((mag[1:-1] < mag[:-2]) & (mag[1:-1] <= mag[2:])) + 1
     if mins.size == 0:
         raise NoNullsFoundError("no spectral local minimum below the scan limit")
     h = s.df
-    nulls = _parabolic_vertex((lo + mins) * h, h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
+    nulls = _parabolic_vertex(mins * h, h, mag[mins - 1], mag[mins], mag[mins + 1])[0]
 
     # Lobe i runs from mins[i] + 1 to mins[i + 1]; its closing minimum is
     # never its first largest point, since mag[m] < mag[m - 1].  The peak
@@ -289,5 +286,5 @@ def segment_lobes(s: Spectrum, start: int = 0) -> LobeSegmentation:
     starts = mins[:-1] - mins[0]
     tops = np.flatnonzero(lobes == np.repeat(np.maximum.reduceat(lobes, starts), np.diff(mins)))
     k = mins[0] + 1 + tops[np.searchsorted(tops, starts)]
-    peak_freqs, peak_db = _parabolic_vertex((lo + k) * h, h, *_db(mag[np.stack((k - 1, k, k + 1))], s.dc))
-    return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db, last_min=lo + int(mins[-1]))
+    peak_freqs, peak_db = _parabolic_vertex(k * h, h, *_db(mag[np.stack((k - 1, k, k + 1))], s.dc))
+    return LobeSegmentation(nulls=nulls, peak_freqs=peak_freqs, peak_db=peak_db)

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -557,15 +558,21 @@ def _nudged(x):
 
 def _boundary_floats():
     """Cells where "%.12g" is hardest to get right: halfway cases of the 12th
-    digit, powers of ten, the carry into a 13th digit, the exponents around
-    the array path's limit of 1e+-277, and the special and subnormal values."""
+    digit and cases 2**-11, 2**-12 and 2**-13 of its unit either side of
+    them, around the array path's fallback margin of 2**-12; powers of ten,
+    the carry into a 13th digit, the exponents around the array path's limit
+    of 1e+-277, and the special and subnormal values."""
     rng = np.random.default_rng(27)
     mantissas, exps = rng.integers(10**11, 10**12, 4096).tolist(), rng.integers(-300, 301, 4096).tolist()
     halves = [float(f"{m}5e{k - 12}") for m, k in zip(mantissas, exps)]
+    margins = [
+        float((Fraction(2 * m + 1, 2) + Fraction(s, 2**j)) * Fraction(10) ** (k - 11))
+        for m, k in zip(mantissas, exps) for j in (11, 12, 13) for s in (-1, 1)
+    ]
     powers = [float(f"1e{k}") for k in range(-300, 301)]
     nines = [float(f"999999999999.5e{k}") for k in range(-320, 297)]
     limit = [float(f"{m}e{s}{k}") for m in (1, 3.3, 9.9999999999995) for s in "+-" for k in range(274, 286)]
-    finite = _nudged(np.array(halves + powers + nines + limit))
+    finite = _nudged(np.array(halves + margins + powers + nines + limit))
     subnormals = rng.integers(1, 2**52, 256, dtype=np.uint64).view(np.float64)
     return np.concatenate([finite, -finite, subnormals, -subnormals, SPECIAL_FLOATS, [0.0]])
 

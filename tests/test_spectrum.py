@@ -95,6 +95,10 @@ class TestSpectrumFFT:
         with pytest.raises(ValueError, match="DC"):
             spectrum_fft(w, 128, 50.0)
 
+    def test_empty_band_rejected(self):
+        with pytest.raises(ValueError, match="empty band has no DC value"):
+            Spectrum(np.array([], complex), 1 / 128)
+
     @pytest.mark.parametrize("pad", [2 ** 53 + 1, 10 ** 400], ids=["2^53+1", "10^400"])
     def test_pad_past_limit_rejected_before_any_conversion(self, pad):
         # f_max * 10**400 would overflow converting the integer to float

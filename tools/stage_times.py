@@ -9,8 +9,8 @@ outside every wrapped call.  The half width reads the window at the Simpson
 nodes that ``full_report`` evaluated, then its multisection evaluates the
 window through ``window_eval``, two grids of 2 x 129 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
-The ``segment_lobes`` line also gives the bins it searched per table: each
-64 Hz chunk once, from the band's last minimum on.  The whole table is
+The ``segment_lobes`` line also gives the bins it searched per table: the
+whole band so far, after each 64 Hz chunk.  The whole table is
 timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
 gives the best of REPEATS calls of ``expwin.cli._csv`` on the default
 ``expwin spectrum hann`` band, 6401 rows of frequency, amplitude and dB,
@@ -54,7 +54,7 @@ def table_stage_sums():
         def wrapper(*args, **kwargs):
             calls[stage] += 1
             if stage == "segment_lobes":
-                start = args[1] if len(args) > 1 else 0  # a checkout whose segment_lobes takes no start
+                start = args[1] if len(args) > 1 else 0  # an older checkout's segment_lobes took a start bin
                 bins[0] += args[0].amplitudes.size - max(start, 1) + 1
             outer, inner[0] = inner[0], 0.0
             t0 = time.perf_counter()
