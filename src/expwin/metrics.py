@@ -98,15 +98,20 @@ def _band_lobes(w: np.ndarray) -> LobeSegmentation:
 
     The band grows by N_PANELS bins (64 Hz, one shared chirp-z plan) in one
     array of the full size until it holds a peak below DECAY_THRESHOLD_DB,
-    the last lobe a metric reads.  After each chunk the whole band so far is
-    segmented; only the whole band raises.
+    the last lobe a metric reads.  As (c*N_PANELS + j)*k/(N_PANELS*PAD_FACTOR)
+    = c*k/PAD_FACTOR + j*k/(N_PANELS*PAD_FACTOR), chunk c is the band from 0 Hz
+    of g_k turned by the PAD_FACTOR-th root of unity exp(2*pi*i*c*k/PAD_FACTOR).
+    After each chunk the whole band so far is segmented; only the whole band raises.
     """
     g = _simpson_rule(N_PANELS)[1] * w
+    k = np.arange(PAD_FACTOR)
+    roots = np.exp(2j * np.pi * (k / PAD_FACTOR))
     size = _band_size(F_MAX, PAD_FACTOR)
     amps = np.empty(size, dtype=complex)  # filled chunk by chunk; pages past the last are never touched
-    for first in range(0, size, N_PANELS):
+    for c, first in enumerate(range(0, size, N_PANELS)):
         end = min(first + N_PANELS, size)
-        amps[first:end] = _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first)[: end - first]
+        turned = g * np.resize(roots[c * k % PAD_FACTOR], g.size) if c else g
+        amps[first:end] = _band_dft(turned, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS)[: end - first]
         try:
             seg = segment_lobes(Spectrum(amps[:end], 1.0 / PAD_FACTOR))
         except NoNullsFoundError:

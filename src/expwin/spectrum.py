@@ -110,47 +110,31 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     return chirp, kernel_fft, np.frombuffer(mmap.mmap(-1, 16 * size), dtype=complex)
 
 
-# How to bring each term of the chirp-z phase dt*df*max(m^2, n^2, first*n) back under 2^24.
+# How to bring each term of the chirp-z phase dt*df*max(m^2, n^2) back under 2^24.
 _PHASE_REMEDIES = {
     "m^2": "the band has too many frequencies; use fewer, with a lower f_max or a coarser frequency spacing",
     "n^2": "too many nodes for the frequency spacing; use fewer nodes or a finer spacing, more frequencies to f_max",
-    "first*n": "the band starts too high; start it at a lower frequency",
 }
 _WORK_LOCK = threading.Lock()  # held while ``_band_dft`` fills and reads a plan's work buffer
 
 
-def _turn(c: float, n: int) -> np.ndarray:
-    """exp(2*pi*i*fmod(c*k, 1)) for k < n.
-
-    c = p/q exactly, q a power of two; while p*k stays below 2^53 the
-    products c*k are exact, so the turn repeats with period q and only
-    min(q, n) of its points are evaluated.
-    """
-    p, q = c.as_integer_ratio()
-    period = q if q < n and p * n < 2 ** 53 else n
-    return np.resize(np.exp(2j * np.pi * np.fmod(c * np.arange(period), 1.0)), n)
-
-
-def _band_dft(g: np.ndarray, dt: float, df: float, m: int, first: int = 0) -> np.ndarray:
-    """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = first..first+m-1.
+def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
+    """Sum_k g_k exp(2*pi*i*(j*df)*(k*dt)) for j = 0..m-1.
 
     Bluestein's chirp-z transform: with jk = (j^2 + k^2 - (j-k)^2)/2 the
     sum becomes a linear convolution with the chirp exp(-i*pi*a*l^2),
     a = dt*df, done by FFTs in place in the work buffer of the plan
-    ``_chirp_plan`` keeps for (n, m, a); ``first`` > 0 turns g_k by
-    exp(2*pi*i*first*a*k) first.  The phases a*k^2 and first*a*k are
-    reduced mod 2 and mod 1, so they stay exact whenever a is a power of
-    two; otherwise their absolute error grows with the phase, which is why
-    values above 2^24 raise ValueError.  The result is a fresh array.
+    ``_chirp_plan`` keeps for (n, m, a).  The phases a*k^2 are reduced
+    mod 2, so they stay exact whenever a is a power of two; otherwise
+    their absolute error grows with the phase, which is why values above
+    2^24 raise ValueError.  The result is a fresh array.
     """
     n = g.size
-    terms = {"m^2": m * m, "n^2": n * n, "first*n": first * n}
+    terms = {"m^2": m * m, "n^2": n * n}
     term = max(terms, key=terms.get)
     phase_max = dt * df * terms[term]
     if phase_max > 2.0 ** 24:
         raise ValueError(f"chirp-z phase dt*df*{term} = {phase_max:.3g} > 2^24: {_PHASE_REMEDIES[term]}")
-    if first:
-        g = g * _turn(first * (dt * df), n)
     chirp, kernel_fft, buf = _chirp_plan(n, m, dt * df)
     with _WORK_LOCK:
         np.multiply(g, chirp[:n], out=buf[:n])

@@ -370,12 +370,15 @@ class TestChunkedBand:
     @staticmethod
     def _check_matches_concatenated_chunks(wdef):
         # the band _band_lobes stops at, segmented whole from bin 0 after
-        # each chunk: its lobes, or its error, bit for bit
+        # each chunk: its lobes, or its error, bit for bit; chunk c is the
+        # band from 0 Hz of the weights turned by exp(2*pi*i*c*k/PAD_FACTOR)
         w = _nodes(wdef)
         g = _simpson_rule(N_PANELS)[1] * w
-        chunks = [
-            _band_dft(g, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS, first) for first in range(0, 64001, N_PANELS)
-        ]
+        k = np.arange(N_PANELS + 1)
+        chunks = []
+        for c in range(math.ceil(64001 / N_PANELS)):
+            turn = np.exp(2j * np.pi * np.fmod(c * k / PAD_FACTOR, 1.0))
+            chunks.append(_band_dft(g * turn, 1.0 / N_PANELS, 1.0 / PAD_FACTOR, N_PANELS))
         for count in range(1, len(chunks) + 1):
             amps = np.concatenate(chunks[:count])[:64001]
             try:
@@ -408,6 +411,26 @@ class TestChunkedBand:
     @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
     def test_drawn_windows_match_segmentation_of_concatenated_chunks(self, wdef):
         self._check_matches_concatenated_chunks(wdef)
+
+    def test_table_stops_24_rows_after_one_chunk_of_43(self, monkeypatch):
+        # the band transforms of each row, counted inside its _band_lobes call
+        per_row = []
+        band_dft, band_lobes = metrics._band_dft, metrics._band_lobes
+
+        def counted_dft(*args, **kwargs):
+            per_row[-1] += 1
+            return band_dft(*args, **kwargs)
+
+        def counted_lobes(w):
+            per_row.append(0)
+            return band_lobes(w)
+
+        monkeypatch.setattr(metrics, "_band_dft", counted_dft)
+        monkeypatch.setattr(metrics, "_band_lobes", counted_lobes)
+        compute_table()
+        assert len(per_row) == len(TABLE_ROWS)
+        assert sum(per_row) == 43
+        assert per_row.count(1) == 24
 
     @staticmethod
     def _count_window_evals(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expwin import metrics
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.spectrum import (
     NoNullsFoundError,
@@ -15,7 +16,7 @@ from expwin.spectrum import (
     _band_dft,
     _band_size,
     _chirp_plan,
-    _turn,
+    _simpson_rule,
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
@@ -171,55 +172,45 @@ class TestChirpPlan:
 
     # n + m - 1 = 599 pads to 5 * 2^7 and 749 to 3 * 2^8; dt*df = 2^-16 keeps
     # the direct sum's phases j*k*dt*df exact.
-    @pytest.mark.parametrize("n, m, size, first", [(400, 200, 640, 0), (500, 250, 768, 0), (500, 250, 768, 3000)])
-    def test_radix_three_and_five_sizes_match_direct_sum(self, n, m, size, first):
-        g = np.random.default_rng(n + first).standard_normal(n)
+    @pytest.mark.parametrize("n, m, size", [(400, 200, 640), (500, 250, 768)])
+    def test_radix_three_and_five_sizes_match_direct_sum(self, n, m, size):
+        g = np.random.default_rng(n).standard_normal(n)
         dt, df = 1 / 512, 1 / 128
-        got = _band_dft(g, dt, df, m, first)
+        got = _band_dft(g, dt, df, m)
         assert _chirp_plan(n, m, dt * df)[1].size == size
-        jk = np.outer(np.arange(first, first + m), np.arange(n)).astype(float)
+        jk = np.outer(np.arange(m), np.arange(n)).astype(float)
         direct = np.exp(2j * np.pi * np.fmod(jk * (dt * df), 1.0)) @ g
         assert np.max(np.abs(got - direct)) < 1e-13 * np.sum(np.abs(g))
 
     @pytest.mark.parametrize("c", range(1, 8))
     def test_band_from_later_bin_matches_slice_of_whole_band(self, c):
-        # the chunks of a table row: 8193 nodes, 8192 bins, dt*df = 2^-20
+        # chunk c of a table row: 8193 nodes turned by exp(2*pi*i*c*k/128),
+        # 8192 bins from 0 Hz, dt*df = 2^-20
         g = np.random.default_rng(c).standard_normal(8193)
         first = 8192 * c
-        got = _band_dft(g, 1 / 8192, 1 / 128, 8192, first)
+        turn = np.exp(2j * np.pi * np.fmod(c * np.arange(8193) / 128, 1.0))
+        got = _band_dft(g * turn, 1 / 8192, 1 / 128, 8192)
         want = _band_dft(g, 1 / 8192, 1 / 128, first + 8192)[first:]
         assert np.max(np.abs(got - want)) < 1e-12 * np.sum(np.abs(g))
 
-    def test_band_from_later_bin_non_power_of_two_step(self):
-        rng = np.random.default_rng(6)
-        n, dt, df, m, first = 777, 1 / 777, 0.3, 500, 1234
-        g = rng.standard_normal(n)
-        got = _band_dft(g, dt, df, m, first)
-        k = np.arange(n)
-        for j in (0, 1, 123, 256, 499):
-            direct = np.sum(g * np.exp(2j * np.pi * ((first + j) * df) * (k * dt)))
-            assert abs(got[j] - direct) < 1e-12 * np.sum(np.abs(g))
-
     def test_result_does_not_alias_work_buffer(self):
         rng = np.random.default_rng(7)
-        got = _band_dft(rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192, 8192)
+        got = _band_dft(rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192)
         before = got.tobytes()
-        _band_dft(rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192, 8192)
+        _band_dft(rng.standard_normal(8193) + 1j * rng.standard_normal(8193), 1 / 8192, 1 / 128, 8192)
         assert got.tobytes() == before
 
     def test_threads_match_serial_calls(self):
         # four threads switching every microsecond contend for the shared work buffer
-        gs = [np.random.default_rng(seed).standard_normal(8193) for seed in range(8, 12)]
-        firsts = [8192 * c for c in range(4)]
-        serial = [[_band_dft(g, 1 / 8192, 1 / 128, 8192, first).tobytes() for first in firsts] for g in gs]
+        rng = np.random.default_rng(8)
+        gs = [[rng.standard_normal(8193) + 1j * rng.standard_normal(8193) for _ in range(4)] for _ in range(4)]
+        serial = [[_band_dft(g, 1 / 8192, 1 / 128, 8192).tobytes() for g in row] for row in gs]
         results = [None] * len(gs)
         start = threading.Barrier(len(gs))
 
         def work(i):
             start.wait()
-            results[i] = [
-                _band_dft(gs[i], 1 / 8192, 1 / 128, 8192, first).tobytes() for _ in range(5) for first in firsts
-            ]
+            results[i] = [_band_dft(g, 1 / 8192, 1 / 128, 8192).tobytes() for _ in range(5) for g in gs[i]]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(gs))]
         interval = sys.getswitchinterval()
@@ -235,34 +226,32 @@ class TestChirpPlan:
         assert results == [want * 5 for want in serial]
 
     @pytest.mark.parametrize(
-        "n, df, m, first, term, remedy",
+        "n, df, m, term, remedy",
         [
             # 5e10 bins at 1e-9 Hz over 8192 nodes: m^2/(8192e9) = 3.1e8
-            (8192, 1e-9, 50_000_000_001, 0, "m^2", "use fewer"),
+            (8192, 1e-9, 50_000_000_001, "m^2", "use fewer"),
             # 2 bins 20000.3 Hz apart over 1280021 nodes: n^2 * df/n = 2.6e10
-            (1_280_021, 20000.3, 2, 0, "n^2", "use fewer nodes or a finer spacing"),
-            # a band from bin 2^30 at 0.5 Hz over 64 nodes: 2^29
-            (64, 0.5, 40, 2 ** 30, "first*n", "start it at a lower frequency"),
+            (1_280_021, 20000.3, 2, "n^2", "use fewer nodes or a finer spacing"),
         ],
-        ids=["m^2", "n^2", "first*n"],
+        ids=["m^2", "n^2"],
     )
-    def test_phase_error_names_its_term_and_remedy(self, n, df, m, first, term, remedy):
+    def test_phase_error_names_its_term_and_remedy(self, n, df, m, term, remedy):
         match = rf"chirp-z phase dt\*df\*{re.escape(term)} = .* > 2\^24: .*{remedy}"
         with pytest.raises(ValueError, match=match):
-            _band_dft(np.ones(n), 1.0 / (n - 1), df, m, first)
+            _band_dft(np.ones(n), 1.0 / (n - 1), df, m)
 
     @pytest.mark.parametrize("c", range(1, 8))
-    def test_periodic_turn_matches_full_length(self, c):
-        # the turn of a table row's chunk c: first*dt*df = 8192*c * 2^-20 = c/128
-        ramp = 8192 * c * 2.0 ** -20
-        assert ramp.as_integer_ratio()[1] <= 128  # the periodic path, not a full-length one
-        want = np.exp(2j * np.pi * np.fmod(ramp * np.arange(8193), 1.0))
-        assert _turn(ramp, 8193).tobytes() == want.tobytes()
-
-    def test_band_start_beyond_ramp_phase_rejected(self):
-        # first*dt*df*n = 2^30 * 2^-7 * 64 = 2^29
-        with pytest.raises(ValueError, match="chirp-z phase"):
-            _band_dft(np.ones(64), 1 / 64, 0.5, 40, first=2 ** 30)
+    def test_periodic_turn_matches_full_length(self, c, monkeypatch):
+        # the weights a table row's chunk c transforms: its 128-point table of
+        # turns, tiled over the 8193 nodes, against exp(2*pi*i*c*k/128) at every
+        # node; exp:win:triangular's band runs to 500 Hz, through chunk 7
+        w = window_eval(parse_window_spec("exp:win:triangular"), _simpson_rule(8192)[0])
+        inputs = []
+        monkeypatch.setattr(metrics, "_band_dft", lambda g, *args: inputs.append(g) or _band_dft(g, *args))
+        metrics._band_lobes(w)
+        assert len(inputs) == 8
+        want = _simpson_rule(8192)[1] * w * np.exp(2j * np.pi * np.fmod(c * np.arange(8193) / 128, 1.0))
+        assert inputs[c].tobytes() == want.tobytes()
 
 
 class TestSpectrumQuadrature:

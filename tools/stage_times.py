@@ -9,6 +9,9 @@ outside every wrapped call.  The half width reads the window at the Simpson
 nodes that ``full_report`` evaluated, then its multisection evaluates the
 window through ``window_eval``, two grids of 2 x 129 points per row, so
 those evaluations count under ``window_eval``, not ``half_width_numeric``.
+``_band_lobes`` turns the weights of each 64 Hz chunk after the first by a
+128th root of unity before it calls ``_band_dft``, so the turn counts under
+the ``full_report`` line and ``_band_dft`` times the transforms alone.
 The ``segment_lobes`` line also gives the bins it searched per table: the
 whole band so far, after each 64 Hz chunk.  The whole table is
 timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
