@@ -7,6 +7,7 @@ prefix, the 12 digits with the '.' shifted in, exponent and separator.
 Zero, inf, NaN, |e| > EMAX and a product within 2**-12 of a half (ties
 among them) are %-formatted."""
 import functools
+from array import array
 
 import numpy as np
 
@@ -17,8 +18,8 @@ EMAX = 277  # |e| limit of the array path; 10**(11 - e) is finite and normal wit
 @functools.cache
 def tables():
     """Per 4-digit chunk its ASCII, in the high half with trailing zeros NUL;
-    per e + EMAX, digit masks, '.', exponent and prefix words, and
-    10**(11 - e), zero until e is met.  Built from Python bytes, faulting in no numpy code."""
+    per e + EMAX, the ``_exponent_words`` rows, and 10**(11 - e), zero until
+    e is met.  Built from Python bytes and integers, faulting in no numpy code."""
     chunks = bytearray(40000)
     for i in range(4):  # digit i of chunk c is c // 10**(3 - i) % 10
         chunks[i::4] = b"".join(b"%d" % d * 10 ** (3 - i) for d in range(10)) * 10**i
@@ -27,6 +28,13 @@ def tables():
         stripped[4 - k :: 4 * 10**k] = bytes(10 ** (4 - k))
     digits = memoryview(bytearray(80000)).cast("I")
     digits[0::2], digits[1::2] = memoryview(chunks).cast("I"), memoryview(stripped).cast("I")
+    by_e = array("Q", _exponent_words())  # 8-byte words in the host's order, as np.uint64 reads them
+    return np.frombuffer(digits, WORD), np.frombuffer(by_e, np.uint64).reshape(9, -1), np.zeros(2 * EMAX + 1)
+
+
+def _exponent_words() -> list:
+    """Per e + EMAX, digit masks, '.', exponent and prefix words, as the
+    integers of 9 rows of 2 * EMAX + 2 words, row by row."""
     word = lambda s: int.from_bytes(s.encode(), "little")
     by_e = []
     for e in range(-EMAX, EMAX + 2):
@@ -38,8 +46,7 @@ def tables():
         zeros = "0." + "0" * (-1 - e) if e < 0 and fixed else ""
         by_e.append([low_head, ~low_head % 2**64, low_tail, ~low_tail % 2**64, point * (dot < 8),
                      point * (dot >= 8), word(exp), word(zeros), word("-" + zeros)])
-    by_e = b"".join(v.to_bytes(8, "little") for row in zip(*by_e) for v in row)
-    return np.frombuffer(digits, WORD), np.frombuffer(by_e, WORD).reshape(9, -1), np.zeros(2 * EMAX + 1)
+    return [v for row in zip(*by_e) for v in row]
 
 
 def pow10(ei: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ class PolynomialKernel:
     m: float
     n: float
     peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
+    symmetric = property(lambda self: self.m == self.n)  # B(t) = B(1 - t)
 
     def __post_init__(self):
         if not (self.m > 0 and self.n > 0):
@@ -65,6 +66,7 @@ class ScaledSineKernel:
 
     c: float = 1.0
     peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
+    symmetric = True  # sin(pi t) = sin(pi (1 - t))
 
     def __post_init__(self):
         if not self.c > 0:

@@ -41,9 +41,10 @@ def _db(mag: np.ndarray, dc: float) -> np.ndarray:
 class Spectrum:
     """Complex spectrum on the band k*df Hz, k = 0, 1, ..., from 0 Hz.
 
-    dB values are relative to the f=0 amplitude ``dc``, so an empty band or
-    a zero or non-finite DC value raises ValueError; they and the
-    frequencies are computed when read.
+    A symmetric window's ``spectrum_quadrature`` holds the real, signed
+    exp(-i*pi*f) * Fhat(f).  dB values are relative to the f=0 amplitude
+    ``dc``, so an empty band or a zero or non-finite DC value raises
+    ValueError; they and the frequencies are computed when read.
     """
 
     amplitudes: np.ndarray
@@ -94,10 +95,12 @@ def _chirp_plan(n: int, m: int, a: float) -> tuple:
     replaces it: 16 bytes times max(n, m) plus the FFT size for chirp and
     kernel FFT, and 16 bytes times the FFT size for the buffer.  The table rows' chunks of
     8192 bins over 8193 nodes share one, about 0.4 MB plus 0.26 MB of buffer
-    (n + m - 1 = 16384, no padding); the default quadrature band, 6401 bins
-    over 32769 nodes, holds about 1.2 MB plus 0.66 MB (39169 padded to
-    40960); a quadrature band to 32768 Hz at 128 bins per Hz about 200 MB
-    plus 134 MB (3*2^21 + 1 padded to 2^23).
+    (n + m - 1 = 16384, no padding).  A symmetric window's quadrature band,
+    6401 bins over 16385 folded nodes by default, holds about 0.66 MB plus
+    0.39 MB (22785 padded to 24576), and to 32768 Hz at 128 bins per Hz
+    168 MB plus 101 MB (5*2^20 + 1 padded to 3*2^21); over an asymmetric
+    window's 32769 or 2^21 + 1 nodes, 1.2 MB plus 0.66 MB (39169 padded to
+    40960) or 200 MB plus 134 MB (3*2^21 + 1 padded to 2^23).
     """
     size = min(c << ((n + m - 2) // c).bit_length() for c in (1, 3, 5))  # least c*2^k >= n + m - 1
     k2 = np.arange(max(n, m), dtype=float) ** 2
@@ -215,15 +218,24 @@ def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
     """Spectrum at m evenly spaced frequencies from 0 to f_max Hz.
 
     ``spectrum_simpson`` of the window re-evaluated on a dense grid that
-    includes t = 1, with 64 panels per Hz of f_max and at least 2^15;
-    f_max above 32768 Hz (2^21 panels) raises ValueError.
+    includes t = 1, with P = 64 panels per Hz of f_max and at least 2^15;
+    f_max above 32768 Hz (2^21 panels) raises ValueError.  A symmetric
+    window is evaluated on t <= 1/2 only: node P/2 + j and its weight equal
+    node P/2 - j's, so the folded h_0 = g_(P/2), h_j = 2*g_(P/2-j) give the
+    real, signed A(f) = exp(-i*pi*f)*Fhat(f) = sum_j h_j cos(2*pi*f*j/P).
     """
     if m < 1 or not 0.0 <= f_max < np.inf:
         raise ValueError(f"need m >= 1 frequencies and a finite f_max >= 0 Hz, got {m} and {f_max:g}")
     _check_quadrature_limit(f_max)
     panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
     panels += panels % 2
-    return spectrum_simpson(window_eval(wdef, _simpson_rule(panels)[0]), f_max, m)
+    t, weights = _simpson_rule(panels)
+    if not wdef.symmetric:
+        return spectrum_simpson(window_eval(wdef, t), f_max, m)
+    h = (weights[: panels // 2 + 1] * window_eval(wdef, t[: panels // 2 + 1]))[::-1]
+    h[1:] *= 2.0
+    df = f_max / max(m - 1, 1)
+    return Spectrum(_band_dft(h, 1.0 / panels, df, m).real.copy(), df)
 
 
 def _parabolic_vertex(x0, h, ym, y0, yp):

@@ -4,10 +4,11 @@ All windows live on the unit interval: W(t) is given by its formula for
 t in [0, 1] and is identically zero outside.  Windows built from a
 kernel B(t) take the form W(t) = exp(1/B_max - 1/B(t)), which vanishes
 with all derivatives at both endpoints.  Every window is a callable W(t)
-with a ``peak`` (t*, W(t*)), and ``window_eval`` is the one entry point
-that evaluates it.  A ``CatalogWindow`` checks its id and parameters and
-finds its ``peak`` (1/2, W(1/2)) when it is built, so evaluating one raises
-nothing; an exponential window peaks at its kernel's t*.
+with a ``peak`` (t*, W(t*)) and ``symmetric``, true if W(t) = W(1 - t);
+``window_eval`` is the one entry point that evaluates it.  A
+``CatalogWindow`` checks its id and parameters and finds its ``peak``
+(1/2, W(1/2)) when built, so evaluating one raises nothing; an exponential
+window peaks at its kernel's t*.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def _w_tukey(t, p):
     alpha = p["alpha"]
     out = np.ones_like(t)
     left = t < alpha / 2.0
-    right = t > 1.0 - alpha / 2.0
+    right = 1.0 - t < alpha / 2.0  # not t > 1 - alpha/2, which rounds to t > 1 for alpha < 2^-52
     out[left] = 0.5 * (1.0 - np.cos(2.0 * np.pi * t[left] / alpha))
     out[right] = 0.5 * (1.0 - np.cos(2.0 * np.pi * (1.0 - t[right]) / alpha))
     return out
@@ -135,6 +136,7 @@ class CatalogWindow:
     window_id: str
     params: Tuple[Tuple[str, float], ...] = ()
     peak: Tuple[float, float] = field(init=False, repr=False, compare=False)
+    symmetric = True  # every catalog formula has W(t) = W(1 - t)
 
     def __post_init__(self):
         if self.window_id not in CATALOG:
@@ -174,6 +176,7 @@ KernelSpec = Union[PolynomialKernel, ScaledSineKernel, CatalogWindow]
 @dataclass(frozen=True)
 class ExpKernelWindow:
     kernel: KernelSpec
+    symmetric = property(lambda self: self.kernel.symmetric)
 
     @property
     def peak(self) -> Tuple[float, float]:

@@ -2,7 +2,7 @@
 from hypothesis import strategies as st
 
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
-from expwin.windows import CATALOG, catalog
+from expwin.windows import CATALOG, ExpKernelWindow, catalog
 
 # Drawn range (low, high) of each catalog parameter; the ends are excluded,
 # so the open ranges of tukey alpha and planck_taper epsilon are covered whole.
@@ -38,3 +38,22 @@ def kernels():
         st.builds(ScaledSineKernel, st.floats(0.1, 10.0)),
         catalog_windows(),
     )
+
+
+def symmetric_windows():
+    """Windows with W(t) = W(1 - t): any catalog window, exp:sine, exp:win: and exp:poly with m = n."""
+    return st.one_of(
+        catalog_windows(),
+        st.one_of(
+            st.floats(0.05, 8.0).map(lambda n: PolynomialKernel(n, n)),
+            st.builds(ScaledSineKernel, st.floats(0.1, 10.0)),
+            catalog_windows(),
+        ).map(ExpKernelWindow),
+    )
+
+
+def asymmetric_windows():
+    """exp:poly windows with m != n."""
+    return st.builds(PolynomialKernel, st.floats(0.05, 8.0), st.floats(0.05, 8.0)).filter(
+        lambda k: k.m != k.n
+    ).map(ExpKernelWindow)

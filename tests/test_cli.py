@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from expwin import table
+from expwin import _cells, table
 from expwin.cli import _csv, build_parser, main
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.metrics import MetricsError
@@ -602,6 +602,16 @@ class TestCsvWriterBulk:
 
     def test_single_row(self):
         self.check("t,w", 64, np.array([0.123456789012345]))
+
+
+def test_exponent_words_are_the_to_bytes_words():
+    # tables() packs the per-exponent integers with one array("Q") in the
+    # host's byte order; as little-endian words they are the bytes that
+    # int.to_bytes(8, "little") gives each of them
+    by_e = _cells.tables()[1]
+    assert by_e.shape == (9, 2 * _cells.EMAX + 2)
+    want = b"".join(v.to_bytes(8, "little") for v in _cells._exponent_words())
+    assert by_e.astype(_cells.WORD).tobytes() == want
 
 
 class TestCachedParser:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expwin import metrics
+from expwin import metrics, spectrum
+from expwin.cli import main
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
 from expwin.spectrum import (
     NoNullsFoundError,
@@ -20,9 +21,11 @@ from expwin.spectrum import (
     segment_lobes,
     spectrum_fft,
     spectrum_quadrature,
+    spectrum_simpson,
 )
 from expwin.specs import parse_window_spec
 from expwin.windows import ExpKernelWindow, catalog, sample, window_eval
+from strategies import asymmetric_windows, symmetric_windows
 
 
 def _nudged(x, ulps):
@@ -164,11 +167,20 @@ class TestChirpPlan:
 
     @pytest.mark.parametrize(
         "n, m, size",
-        [(8193, 8192, 16384), (8192, 6401, 16384), (32769, 6401, 40960)],
-        ids=["table chunk", "default spectrum", "default quadrature"],
+        [(8193, 8192, 16384), (8192, 6401, 16384), (32769, 6401, 40960), (16385, 6401, 24576)],
+        ids=["table chunk", "default spectrum", "default quadrature", "folded default quadrature"],
     )
     def test_fft_size_of_default_bands(self, n, m, size):
         assert _chirp_plan(n, m, 2.0 ** -20)[1].size == size
+
+    @pytest.mark.parametrize("spec, shape", [("hann", (16385, 6401)), ("exp:poly:m=1,n=2", (32769, 6401))])
+    def test_quadrature_command_plan_shape(self, spec, shape, tmp_path, monkeypatch):
+        # a symmetric window's default quad band transforms the 2^14 + 1 folded nodes
+        shapes = []
+        plan = spectrum._chirp_plan
+        monkeypatch.setattr(spectrum, "_chirp_plan", lambda n, m, a: shapes.append((n, m)) or plan(n, m, a))
+        assert main(["spectrum", spec, "--method", "quad", "--out", str(tmp_path / "s.csv")]) == 0
+        assert shapes == [shape]
 
     # n + m - 1 = 599 pads to 5 * 2^7 and 749 to 3 * 2^8; dt*df = 2^-16 keeps
     # the direct sum's phases j*k*dt*df exact.
@@ -305,6 +317,35 @@ class TestSpectrumQuadrature:
             pos = np.dot(g, np.exp(2j * np.pi * f * t))
             neg = np.dot(g, np.exp(-2j * np.pi * f * t))
             assert neg == pytest.approx(np.conj(pos), abs=1e-12)
+
+
+class TestSymmetricFold:
+    """A symmetric window's quadrature band from the nodes t <= 1/2, against
+    ``spectrum_simpson`` of all 2^15 + 1 nodes."""
+
+    @staticmethod
+    def unfolded(wdef):
+        return spectrum_simpson(window_eval(wdef, _simpson_rule(2 ** 15)[0]), 50.0, 6401)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wdef=symmetric_windows())
+    def test_folded_magnitudes_match_unfolded(self, wdef):
+        got, want = spectrum_quadrature(wdef, 50.0, 6401), self.unfolded(wdef)
+        assert got.amplitudes.dtype == np.float64
+        assert np.max(np.abs(np.abs(got.amplitudes) - want.magnitudes)) <= 1e-12 * want.dc
+
+    @settings(max_examples=15, deadline=None)
+    @given(wdef=asymmetric_windows())
+    def test_asymmetric_window_takes_unfolded_path(self, wdef):
+        got = spectrum_quadrature(wdef, 50.0, 6401).amplitudes
+        assert got.dtype == complex
+        assert got.tobytes() == self.unfolded(wdef).amplitudes.tobytes()
+
+    def test_amplitude_is_signed(self):
+        # rectangular: A(f) = exp(-i*pi*f) * Fhat(f) = sinc(f), negative on (1, 2)
+        s = spectrum_quadrature(catalog("rectangular"), 2.0, 257)
+        assert np.max(np.abs(s.amplitudes - np.sinc(s.frequencies))) < 1e-12
+        assert s.amplitudes[150] < 0.0
 
 
 _EXP_WINDOWS = st.one_of(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import i0 as scipy_i0
 
 from expwin.kernels import PolynomialKernel, ScaledSineKernel, kernel_eval
@@ -15,7 +15,7 @@ from expwin.windows import (
     sample,
     window_eval,
 )
-from strategies import catalog_windows, kernels
+from strategies import asymmetric_windows, catalog_windows, kernels, symmetric_windows
 
 SYMMETRIC_IDS = sorted(CATALOG)
 
@@ -47,6 +47,11 @@ class TestCatalogEval:
         # 2 pi t / alpha overflows at t = -0.5, and 2 pi (1 - t) / alpha at t = 1.5
         for t in (-0.5, 1.5):
             assert window_eval(catalog("tukey", alpha=1e-320), t) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-320, 1e-17, 2.0 ** -52, 0.3])
+    def test_tukey_vanishes_at_both_ends(self, alpha):
+        # for alpha < 2^-52, 1 - alpha/2 rounds to 1, so t = 1 is tested by 1 - t < alpha/2
+        assert window_eval(catalog("tukey", alpha=alpha), np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
     def test_starred_windows_positive_at_ends(self):
         for wid in ("gaussian", "cauchy_lorentz", "poisson", "hamming"):
@@ -145,6 +150,27 @@ class TestProperties:
         v = window_eval(catalog(wid), t)
         assert np.max(np.abs(v - v[::-1])) < 1e-12
         assert abs(v.max() - 1.0) < 1e-12
+
+    # t >= 1/2 makes 1 - t exact; W(t) and W(1 - t) then differ by at most
+    # 12.6 ulps of the peak W = 1 in a sweep of c in [0.1, 10], for exp:sine,
+    # whose sin(pi t) is amplified by 1/c; the catalog formulas by at most 2
+    @settings(deadline=None)
+    @given(wdef=symmetric_windows(), t=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=20))
+    def test_symmetric_windows_mirror(self, wdef, t):
+        t = np.array(t)
+        assert wdef.symmetric is True
+        assert np.max(np.abs(window_eval(wdef, t) - window_eval(wdef, 1.0 - t))) <= 32 * np.finfo(float).eps
+
+    @settings(deadline=None)
+    @given(wdef=asymmetric_windows())
+    def test_asymmetric_exp_poly_does_not_mirror(self, wdef):
+        assert wdef.symmetric is False and wdef.kernel.symmetric is False
+        assume(abs(wdef.kernel.m - wdef.kernel.n) > 1e-3)  # else W(t) and W(1 - t) may round alike
+        # t^m (1-t)^n = (1-t)^m t^n only at t = 1/2, but both sides may underflow to 0
+        t = np.append(np.linspace(0.05, 0.45, 9), wdef.peak[0])
+        a, b = window_eval(wdef, t), window_eval(wdef, 1.0 - t)
+        assert np.all((a != b) | (a + b == 0.0))
+        assert a[-1] == 1.0 > b[-1]
 
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
     def test_exp_poly_symmetry(self, n):

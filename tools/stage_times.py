@@ -17,14 +17,16 @@ whole band so far, after each 64 Hz chunk.  The whole table is
 timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
 gives the best of REPEATS calls of ``expwin.cli._csv`` on the default
 ``expwin spectrum hann`` band, 6401 rows of frequency, amplitude and dB,
-the CSV writer that ``spectrum`` and ``sample`` end in.  The
-``spectrum_quadrature`` line gives the best of REPEATS calls of the oracle
-on the default ``expwin spectrum hann --method quad`` band, 6401 bins to
-50 Hz, with the convolution length its chirp-z plan chose and the minor
-page faults of that best call.  Then comes the line
-count of the imported package's source, ``expwin/*.py``, and the last line
-gives the minor page faults (``ru_minflt``) of the first pass, which
-faults in every buffer the rows need, and of the pass with the best total.
+the CSV writer that ``spectrum`` and ``sample`` end in.  The two
+``spectrum_quadrature`` lines give the best of REPEATS calls of the oracle
+on the default ``expwin spectrum <spec> --method quad`` band, 6401 bins to
+50 Hz, for the symmetric ``hann``, whose 2^15 + 1 nodes fold to 2^14 + 1,
+and the asymmetric ``exp:poly:m=1,n=2``, which keeps all of them, each with
+the convolution length its chirp-z plan chose and the minor page faults of
+that best call.  Then comes the line count of the imported package's
+source, ``expwin/*.py``, and the last line gives the minor page faults
+(``ru_minflt``) of the first pass, which faults in every buffer the rows
+need, and of the pass with the best total.
 The expwin package is the one on the import path, so two checkouts
 compare with::
 
@@ -39,9 +41,10 @@ import expwin
 from expwin import TABLE_ROWS, cli, metrics, spectrum
 from expwin.specs import parse_window_spec
 from expwin.spectrum import spectrum_fft, spectrum_quadrature
-from expwin.windows import catalog, sample
+from expwin.windows import sample
 
 REPEATS = 3
+QUADRATURE_SPECS = ("hann", "exp:poly:m=1,n=2")  # a symmetric window, folded, and an asymmetric one
 STAGES = ("window_eval", "_band_dft", "segment_lobes", "energy_leakage", "half_width_numeric", "full_report")
 
 
@@ -94,8 +97,8 @@ def csv_seconds():
     return min(times), s.amplitudes.size
 
 
-def quadrature_seconds():
-    """Best wall time of the oracle on the default ``spectrum hann --method quad``
+def quadrature_seconds(spec):
+    """Best wall time of the oracle on the default ``spectrum <spec> --method quad``
     band, the convolution length of its plan, and the minor faults of that call."""
     sizes = []
     plan = spectrum._chirp_plan
@@ -105,13 +108,14 @@ def quadrature_seconds():
         sizes.append(kernel_fft.size)
         return chirp, kernel_fft, buf
 
+    wdef = parse_window_spec(spec)
     spectrum._chirp_plan = recorded
     try:
         runs = []
         for _ in range(REPEATS):
             before = minor_faults()
             t0 = time.perf_counter()
-            spectrum_quadrature(catalog("hann"), 50.0, 6401)
+            spectrum_quadrature(wdef, 50.0, 6401)
             runs.append((time.perf_counter() - t0, minor_faults() - before))
     finally:
         spectrum._chirp_plan = plan
@@ -138,8 +142,9 @@ def main():
     print(f"{'total':20s} {totals[best]:.3f} s")
     seconds, rows = csv_seconds()
     print(f"{'_csv':20s} {seconds:.4f} s {rows:5d} rows of spectrum hann")
-    seconds, size, quad_faults = quadrature_seconds()
-    print(f"{'spectrum_quadrature':20s} {seconds:.4f} s {size:6d} points {quad_faults:6d} minor faults")
+    for spec in QUADRATURE_SPECS:
+        seconds, size, quad_faults = quadrature_seconds(spec)
+        print(f"{'spectrum_quadrature':20s} {seconds:.4f} s {size:6d} points {quad_faults:6d} minor faults {spec}")
     package = Path(expwin.__file__).parent
     lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
     print(f"{'source lines':20s} {lines:6d} in {package}")
