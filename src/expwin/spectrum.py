@@ -151,20 +151,22 @@ def _band_dft(g: np.ndarray, dt: float, df: float, m: int) -> np.ndarray:
 def _band_size(f_max: float, pad_factor: int) -> int:
     """How many k >= 0 have k/pad_factor, rounded to a float, at most f_max Hz.
 
-    Exact while f_max * pad_factor < 2^53, beyond any band that fits in memory.
+    Exact for every accepted input: counted in integers, not in floats.
     ValueError unless 2 <= pad_factor <= 2^53 and f_max is finite and >= 0.
     """
     if pad_factor < 2:
         raise ValueError(f"pad_factor must be >= 2, got {pad_factor}")
-    if pad_factor > 2 ** 53:  # before f_max * pad_factor, which cannot convert an integer past 1.8e308
+    if pad_factor > 2 ** 53:
         raise ValueError(f"pad_factor must be at most 2^53, got about 10^{math.log10(pad_factor):.0f}")
     if not f_max >= 0.0:
         raise ValueError(f"f_max must be >= 0 Hz, got {f_max:g}")
     if not np.isfinite(f_max):
         raise ValueError(f"f_max must be finite, got {f_max:g}")
-    # Every k below int(f_max * pad_factor) lies inside and k + 2 does not; k/pad_factor rises with k.
-    k = int(f_max * pad_factor)
-    return k + sum(j / pad_factor <= f_max for j in (k, k + 1))
+    # k/pad_factor rounds to f_max or below while it lies below f_max + ulp/2, the midpoint
+    # to the next float, or on it if f_max's last bit is 0 and the tie rounds to f_max.
+    (a, b), (c, d) = f_max.as_integer_ratio(), math.ulp(f_max).as_integer_ratio()
+    top, bottom = pad_factor * (2 * a * d + b * c), 2 * b * d  # pad_factor * (f_max + ulp/2)
+    return top // bottom + 1 if f_max / math.ulp(f_max) % 2 == 0 else -(-top // bottom)
 
 
 def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:

@@ -609,9 +609,17 @@ def test_exponent_words_are_the_to_bytes_words():
     # host's byte order; as little-endian words they are the bytes that
     # int.to_bytes(8, "little") gives each of them
     by_e = _cells.tables()[1]
-    assert by_e.shape == (9, 2 * _cells.EMAX + 2)
+    assert by_e.shape == (7, 2 * _cells.EMAX + 1)
     want = b"".join(v.to_bytes(8, "little") for v in _cells._exponent_words())
     assert by_e.astype(_cells.WORD).tobytes() == want
+
+
+def test_powers_are_correctly_rounded():
+    # every 10**(11 - e), |e| <= EMAX, is the float nearest the exact power,
+    # in the table before any value needs it
+    powers = _cells.tables()[2]
+    exps = range(-_cells.EMAX, _cells.EMAX + 1)
+    assert powers.tolist() == [float(Fraction(10) ** (11 - e)) for e in exps]
 
 
 class TestCachedParser:

@@ -3,10 +3,11 @@ import re
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from expwin import metrics, spectrum
 from expwin.cli import main
@@ -33,6 +34,19 @@ def _nudged(x, ulps):
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
     return max(x, 0.0)
+
+
+def _count_by_bisection(f_max, pad):
+    """How many k >= 0 have k/pad, rounded to a float, at most f_max: the
+    least k past f_max, found by bisection, since k/pad never falls as k rises."""
+    inside, outside = 0, (math.floor(f_max) + 1) * pad
+    while outside - inside > 1:
+        mid = (inside + outside) // 2
+        if mid / pad <= f_max:
+            inside = mid
+        else:
+            outside = mid
+    return outside
 
 
 def _sinc_mag(f):
@@ -112,7 +126,9 @@ class TestSpectrumFFT:
             spectrum_fft(sample(catalog("hann"), 64), pad, 0.0)
 
     def test_pad_at_limit_has_a_band_size(self):
-        assert _band_size(50.0, 2 ** 53) > 50 * 2 ** 53
+        # 50 + j/2^53 rounds to 50 up to j = 32, the midpoint 50 + 2^-48 to the
+        # next float, whose tie goes to 50's even last bit
+        assert _band_size(50.0, 2 ** 53) == 50 * 2 ** 53 + 33
 
     @given(data=st.data())
     def test_band_size_counts_grid_points_up_to_fmax(self, data):
@@ -125,6 +141,16 @@ class TestSpectrumFFT:
         while count / pad <= f_max:
             count += 1
         assert _band_size(f_max, pad) == count
+
+    @given(data=st.data())
+    def test_band_size_is_exact_past_2_to_53(self, data):
+        # 2^53 <= f_max * pad <= 2^59, where up to 2^5 neighbours of k/pad
+        # round to the same float; pads that are powers of two put ties on the grid
+        pad = data.draw(st.one_of(st.integers(2 ** 44, 2 ** 53), st.integers(44, 53).map(lambda j: 2 ** j)), label="pad")
+        on_grid = st.builds(_nudged, st.integers(2 ** 53, 2 ** 59).map(lambda k: k / pad), st.integers(-2, 2))
+        f_max = data.draw(st.one_of(st.floats(2 ** 53 / pad, 2 ** 59 / pad), on_grid), label="f_max")
+        assume(Fraction(f_max) * pad >= 2 ** 53)
+        assert _band_size(f_max, pad) == _count_by_bisection(f_max, pad)
 
 
 class TestChirpPlan:

@@ -17,7 +17,11 @@ whole band so far, after each 64 Hz chunk.  The whole table is
 timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
 gives the best of REPEATS calls of ``expwin.cli._csv`` on the default
 ``expwin spectrum hann`` band, 6401 rows of frequency, amplitude and dB,
-the CSV writer that ``spectrum`` and ``sample`` end in.  The two
+the CSV writer that ``spectrum`` and ``sample`` end in.  The ``_cells``
+line gives what the writer costs first in a process: ``_cells.tables()``
+and ``_cells.grid(6401, 128)``, the default band's frequency column, each
+timed once after ``import expwin._cells`` in a fresh ``python -c``
+interpreter, from the run with the best sum of REPEATS.  The two
 ``spectrum_quadrature`` lines give the best of REPEATS calls of the oracle
 on the default ``expwin spectrum <spec> --method quad`` band, 6401 bins to
 50 Hz, for the symmetric ``hann``, whose 2^15 + 1 nodes fold to 2^14 + 1,
@@ -33,7 +37,10 @@ compare with::
     PYTHONPATH=/path/to/other/checkout/src python tools/stage_times.py
     PYTHONPATH=src python tools/stage_times.py
 """
+import os
 import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -45,6 +52,15 @@ from expwin.windows import sample
 
 REPEATS = 3
 QUADRATURE_SPECS = ("hann", "exp:poly:m=1,n=2")  # a symmetric window, folded, and an asymmetric one
+FIRST_USE = """\
+import time
+from expwin import _cells
+t0 = time.perf_counter()
+_cells.tables()
+t1 = time.perf_counter()
+_cells.grid(6401, 128)
+print(t1 - t0, time.perf_counter() - t1)
+"""
 STAGES = ("window_eval", "_band_dft", "segment_lobes", "energy_leakage", "half_width_numeric", "full_report")
 
 
@@ -97,6 +113,18 @@ def csv_seconds():
     return min(times), s.amplitudes.size
 
 
+def cells_first_use_seconds():
+    """Seconds of ``_cells.tables()`` and of ``_cells.grid(6401, 128)`` in the
+    fresh interpreter, of REPEATS, whose two took least together."""
+    path = [str(Path(expwin.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = []
+    for _ in range(REPEATS):
+        out = subprocess.run([sys.executable, "-c", FIRST_USE], env=env, capture_output=True, text=True, check=True)
+        runs.append(tuple(map(float, out.stdout.split())))
+    return min(runs, key=sum)
+
+
 def quadrature_seconds(spec):
     """Best wall time of the oracle on the default ``spectrum <spec> --method quad``
     band, the convolution length of its plan, and the minor faults of that call."""
@@ -142,6 +170,8 @@ def main():
     print(f"{'total':20s} {totals[best]:.3f} s")
     seconds, rows = csv_seconds()
     print(f"{'_csv':20s} {seconds:.4f} s {rows:5d} rows of spectrum hann")
+    tables, grid = cells_first_use_seconds()
+    print(f"{'_cells first use':20s} {tables + grid:.4f} s: tables() {tables:.4f} s, grid(6401, 128) {grid:.4f} s")
     for spec in QUADRATURE_SPECS:
         seconds, size, quad_faults = quadrature_seconds(spec)
         print(f"{'spectrum_quadrature':20s} {seconds:.4f} s {size:6d} points {quad_faults:6d} minor faults {spec}")
