@@ -5,7 +5,6 @@ width is reported in units of 0.1 s, so the full record is 10.0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -52,19 +51,6 @@ class MetricsReport:
 def main_lobe_width(seg: LobeSegmentation) -> float:
     """Half main-lobe width: the first spectral null, in Hz."""
     return float(seg.nulls[0])
-
-
-@functools.lru_cache(maxsize=1)
-def _node_values(wdef: WindowDef) -> np.ndarray:
-    """Read-only W at the nodes k/N_PANELS, k = 0..N_PANELS, kept for the last window.
-
-    ``full_report`` reads them for the spectrum and the leakage and
-    ``half_width_numeric`` for the first halvings of its brackets, so a
-    table row evaluates them once.
-    """
-    w = window_eval(wdef, _simpson_rule(N_PANELS)[0])
-    w.flags.writeable = False
-    return w
 
 
 def energy_leakage(w: np.ndarray, omega0_hz: float) -> float:
@@ -156,32 +142,31 @@ def _walk(t, w, a: int, b: int) -> tuple:
     return t[a], t[b]
 
 
-def half_width_numeric(wdef: WindowDef) -> float:
+def half_width_numeric(wdef: WindowDef, w: np.ndarray) -> float:
     """Measure of the set where W >= sqrt(2)/2, in units of 0.1 s.
 
-    Catalog and reconstructed windows are unimodal or flat-topped, so
-    the super-level set is one interval around the peak t*, where W = 1.
-    Its edges are bisected on [0, t*] and [t*, 1] down to BISECT_TOL, each
-    as if alone; an end where W is still at least sqrt(2)/2 is itself the
-    edge.  W(0), W(1) and the first halvings come from the window at the
-    nodes k/N_PANELS that ``full_report`` reads too: a bracket is halved on
-    them while both its ends and its midpoint are nodes, 12 times per edge
-    when t* = 1/2, fewer when t* is another multiple of 1/N_PANELS and
-    never otherwise.  Then one window evaluation serves BISECT_BITS
-    halvings of both brackets: it takes the 2**BISECT_BITS + 1 points those
-    halvings can reach, built level by level as 0.5 * (a + b) like the
-    bisection's own midpoints, and ``_walk``, the node stage's walk, then
-    runs down them.  So each edge has the bits of a bisection that
-    evaluates one point per step.
+    ``w`` holds W at the nodes k/P, k = 0..P with P = w.size - 1 even.  Catalog
+    and reconstructed windows are unimodal or flat-topped, so the super-level set
+    is one interval around the peak t*, where W = 1.  Its edges are bisected on
+    [0, t*] and [t*, 1] down to BISECT_TOL, each as if alone; an end where W is
+    still at least sqrt(2)/2 is itself the edge.  W(0), W(1) and the first
+    halvings come from ``w``: a bracket is halved on the nodes while both its ends
+    and its midpoint are nodes, 12 times per edge when t* = 1/2 and P = N_PANELS,
+    fewer when t* is another multiple of 1/P and never otherwise.  Then one window
+    evaluation serves BISECT_BITS halvings of both brackets: it takes the
+    2**BISECT_BITS + 1 points those halvings can reach, built level by level as
+    0.5 * (a + b) like the bisection's own midpoints, and ``_walk``, the node
+    stage's walk, then runs down them.  So each edge has the bits of a bisection
+    that evaluates one point per step.
     """
-    nodes = _node_values(wdef)
-    at_ends = np.array([nodes[0], nodes[-1]]) >= HALF_AMPLITUDE  # W(0) and W(1)
+    p = w.size - 1
+    at_ends = np.array([w[0], w[p]]) >= HALF_AMPLITUDE  # W(0) and W(1)
     t_peak = wdef.peak[0]
-    k_peak = t_peak * N_PANELS
+    k_peak = t_peak * p
     brackets = [(0.0, t_peak), (t_peak, 1.0)]
     if k_peak.is_integer():
-        t, w, k = memoryview(_simpson_rule(N_PANELS)[0]), memoryview(nodes), int(k_peak)
-        brackets = [_walk(t, w, 0, k), _walk(t, w, k, N_PANELS)]
+        t, nodes, k = memoryview(_simpson_rule(p)[0]), memoryview(w), int(k_peak)
+        brackets = [_walk(t, nodes, 0, k), _walk(t, nodes, k, p)]
     lo, hi = np.array(brackets).T
     while (hi - lo > BISECT_TOL).any():
         grid = np.empty((2, 2 ** BISECT_BITS + 1))
@@ -190,27 +175,30 @@ def half_width_numeric(wdef: WindowDef) -> float:
             step = 2 ** (BISECT_BITS - level)
             grid[:, step // 2 :: step] = 0.5 * (grid[:, : -1 : step] + grid[:, step::step])
         rows = zip(grid.tolist(), window_eval(wdef, grid).tolist())
-        brackets = [_walk(t, w, 0, 2 ** BISECT_BITS) for t, w in rows]
+        brackets = [_walk(t, values, 0, 2 ** BISECT_BITS) for t, values in rows]
         lo, hi = np.array(brackets).T
     edges = np.where(at_ends, np.array([0.0, 1.0]), 0.5 * (lo + hi))
     return float(10.0 * (edges[1] - edges[0]))
 
 
 def half_width_analytic(n: float) -> float:
-    """Closed-form half width of the symmetric polynomial-kernel window.
+    """Closed-form half width of the window of the kernel t^n (1-t)^n, 0 < n < 512, in 0.1 s.
 
-    Valid for the kernel t^n (1-t)^n; returned in units of 0.1 s.
+    W = sqrt(2)/2 where 4t(1-t) = (1 + x)^(-1/n), x = ln(sqrt 2) 4^-n; the edges
+    lie sqrt(-expm1(-log1p(x)/n)) apart, a form that keeps its digits at large n.
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    s = (1.0 / (4.0 ** n + math.log(math.sqrt(2.0)))) ** (1.0 / n)
-    return 10.0 * math.sqrt(1.0 - 4.0 * s)
+    if not n < 512:  # 4^n overflows, and PolynomialKernel(n, n) is rejected
+        raise ValueError(f"n must be < 512, where 4^n overflows, got {n}")
+    x = math.log(math.sqrt(2.0)) * 4.0 ** -n
+    return 10.0 * math.sqrt(-math.expm1(-math.log1p(x) / n))
 
 
 def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
     """Run the whole pipeline for one window."""
     try:
-        w = _node_values(wdef)
+        w = window_eval(wdef, _simpson_rule(N_PANELS)[0])
         seg = _band_lobes(w)
         omega0 = main_lobe_width(seg)
         sl_db, sl_width = first_sidelobe(seg)
@@ -220,7 +208,7 @@ def full_report(wdef: WindowDef, label: str = None) -> MetricsReport:
             sidelobe_db=sl_db,
             sidelobe_width_hz=sl_width,
             decay_scale_hz=decay_scale(seg),
-            half_width_0p1s=half_width_numeric(wdef),
+            half_width_0p1s=half_width_numeric(wdef, w),
         )
     except Exception as exc:
         name = label if label is not None else repr(wdef)

@@ -78,25 +78,21 @@ def _w_kaiser(t, p):
 
 def _w_tukey(t, p):
     alpha = p["alpha"]
+    edge = np.minimum(t, 1.0 - t)  # distance to the nearer end; 1 - t is exact for t >= 1/2
+    taper = edge < alpha / 2.0
     out = np.ones_like(t)
-    left = t < alpha / 2.0
-    right = 1.0 - t < alpha / 2.0  # not t > 1 - alpha/2, which rounds to t > 1 for alpha < 2^-52
-    out[left] = 0.5 * (1.0 - np.cos(2.0 * np.pi * t[left] / alpha))
-    out[right] = 0.5 * (1.0 - np.cos(2.0 * np.pi * (1.0 - t[right]) / alpha))
+    out[taper] = 0.5 * (1.0 - np.cos(2.0 * np.pi * edge[taper] / alpha))
     return out
 
 
 def _w_planck_taper(t, p):
     eps = p["epsilon"]
+    edge = np.minimum(t, 1.0 - t)  # as in _w_tukey; W = 1/(1 + exp(inf)) = 0 at edge 0
+    taper = edge < eps
     out = np.ones_like(t)
-    left = (t > 0.0) & (t < eps)
-    right = (t > 1.0 - eps) & (t < 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        zl = eps / t[left] + eps / (t[left] - eps)
-        out[left] = 1.0 / (1.0 + np.exp(np.minimum(zl, _UNDERFLOW_EXPONENT)))
-        zr = eps / (1.0 - t[right]) + eps / (1.0 - t[right] - eps)
-        out[right] = 1.0 / (1.0 + np.exp(np.minimum(zr, _UNDERFLOW_EXPONENT)))
-    out[(t <= 0.0) | (t >= 1.0)] = 0.0
+        z = eps / edge[taper] + eps / (edge[taper] - eps)
+        out[taper] = 1.0 / (1.0 + np.exp(np.minimum(z, _UNDERFLOW_EXPONENT)))
     return out
 
 

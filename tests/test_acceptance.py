@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from expwin.kernels import PolynomialKernel, ScaledSineKernel
-from expwin.metrics import half_width_analytic, half_width_numeric
+from expwin.metrics import N_PANELS, half_width_analytic, half_width_numeric
 from expwin.specs import parse_window_spec
 from expwin.spectrum import segment_lobes, spectrum_fft, spectrum_quadrature
 from expwin.table import TABLE_ROWS, compute_table
@@ -60,6 +60,7 @@ EXPECTED_TABLE = {
 }
 
 POLY_EXPONENTS = [0.1, 0.25, 0.5, 1.0, 1.5, 2.0]
+NODES = np.linspace(0.0, 1.0, N_PANELS + 1)  # the Simpson nodes full_report evaluates the window at
 
 
 def _report(criterion, ok, detail=""):
@@ -110,7 +111,8 @@ def test_criterion_2_analytic_half_width():
     failures = []
     for n in POLY_EXPONENTS:
         analytic = half_width_analytic(n)
-        numeric = half_width_numeric(ExpKernelWindow(PolynomialKernel(n, n)))
+        wdef = ExpKernelWindow(PolynomialKernel(n, n))
+        numeric = half_width_numeric(wdef, window_eval(wdef, NODES))
         if abs(analytic - numeric) >= 0.02:
             failures.append(f"n={n}: analytic {analytic:.4f} vs bisection {numeric:.4f}")
         tabulated = EXPECTED_TABLE[f"Exp poly n={n}"][5]
@@ -171,7 +173,7 @@ def test_criterion_5_closed_form_anchors():
         failures.append(f"first null {seg.nulls[0]:.4f} vs 1.000")
     if abs(seg.peak_db[0] - anchor_db) > 0.1:
         failures.append(f"first sidelobe {seg.peak_db[0]:.3f} dB vs {anchor_db:.3f} dB")
-    half = half_width_numeric(catalog("sine")) / 10.0
+    half = half_width_numeric(catalog("sine"), window_eval(catalog("sine"), NODES)) / 10.0
     if abs(half - 0.5) > 1e-6:
         failures.append(f"sine half width {half:.8f} vs 0.5")
     _report("criterion 5: closed-form sanity anchors", not failures, "; ".join(failures))

@@ -97,6 +97,8 @@ class TestKernelPeak:
 
 
 class TestKernelMax:
+    """The kernel maximum (t*, B(t*)) that ``peak`` returns."""
+
     def test_polynomial_symmetric(self):
         t_star, b_max = PolynomialKernel(1, 1).peak
         assert t_star == 0.5

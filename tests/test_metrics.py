@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -47,6 +48,11 @@ KAISER_ALPHA = 8 / math.pi
 def _nodes(wdef, panels=N_PANELS):
     """The window at t_k = k/panels, k = 0..panels."""
     return window_eval(wdef, np.linspace(0.0, 1.0, panels + 1))
+
+
+def _half_width(wdef):
+    """half_width_numeric on the nodes full_report hands it."""
+    return half_width_numeric(wdef, _nodes(wdef))
 
 
 def _segment(wdef):
@@ -197,14 +203,14 @@ class TestDecayScale:
 
 class TestHalfWidth:
     def test_rectangular_full_record(self):
-        assert half_width_numeric(catalog("rectangular")) == 10.0
+        assert _half_width(catalog("rectangular")) == 10.0
 
     def test_sine_closed_form(self):
         # sin(pi t) >= sqrt(2)/2 exactly on [1/4, 3/4]
-        assert half_width_numeric(catalog("sine")) == pytest.approx(5.00, abs=1e-5)
+        assert _half_width(catalog("sine")) == pytest.approx(5.00, abs=1e-5)
 
     def test_hann(self):
-        assert half_width_numeric(catalog("hann")) == pytest.approx(3.64, abs=0.01)
+        assert _half_width(catalog("hann")) == pytest.approx(3.64, abs=0.01)
 
     def test_analytic_values(self):
         assert half_width_analytic(1.0) == pytest.approx(2.824, abs=0.001)
@@ -214,6 +220,26 @@ class TestHalfWidth:
     def test_analytic_rejects_non_positive_exponent(self):
         with pytest.raises(ValueError, match="n must be > 0, got 0"):
             half_width_analytic(0)
+
+    @pytest.mark.parametrize("n", [512, 512.5, 1e6, math.inf, math.nan])
+    def test_analytic_rejects_exponent_where_4_to_the_n_overflows(self, n):
+        with pytest.raises(ValueError, match="n must be < 512, where 4\\^n overflows"):
+            half_width_analytic(n)
+
+    @pytest.mark.parametrize(
+        "n", [0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 25.0, 50.0, 100.0, 300.0, 500.0,
+              511.0]
+    )
+    def test_analytic_matches_decimal_reference(self, n):
+        # sqrt(1 - (1 + x)^(-1/n)), x = ln(sqrt 2) 4^-n, at 450 digits; the
+        # direct 1 - 4 (4^n + ln sqrt 2)^(-1/n) loses every digit from n = 25.
+        # Above n = 510, x is subnormal and keeps fewer bits.
+        with decimal.localcontext(decimal.Context(prec=450)):
+            d = decimal.Decimal(n)
+            x = decimal.Decimal(2).sqrt().ln() / decimal.Decimal(4) ** d
+            want = 10 * (1 - (1 + x) ** (-1 / d)).sqrt()
+            rel = abs((decimal.Decimal(half_width_analytic(n)) - want) / want)
+        assert rel <= (1e-13 if n > 510 else 4e-16)
 
     @pytest.mark.parametrize("m, n", [(12, 13), (11, 12)])
     def test_set_narrower_than_grid_step(self, m, n):
@@ -227,7 +253,7 @@ class TestHalfWidth:
 
         right = brentq(f, t_star, t_star + 0.01, xtol=1e-14)
         left = brentq(f, t_star - 0.01, t_star, xtol=1e-14)
-        assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
+        assert abs(_half_width(wdef) - 10.0 * (right - left)) < 2e-7
 
     @pytest.mark.parametrize(
         "spec",
@@ -256,7 +282,7 @@ class TestHalfWidth:
         t_peak = wdef.peak[0]
         left = 0.0 if window_eval(wdef, 0.0) >= HALF_AMPLITUDE else bisect(0.0, t_peak)
         right = 1.0 if window_eval(wdef, 1.0) >= HALF_AMPLITUDE else bisect(t_peak, 1.0)
-        assert half_width_numeric(wdef) == float(10.0 * (right - left))
+        assert _half_width(wdef) == float(10.0 * (right - left))
 
     @settings(deadline=None, max_examples=60)
     @given(wdef=st.one_of(catalog_windows(), kernels().map(ExpKernelWindow)))
@@ -275,11 +301,11 @@ class TestHalfWidth:
 
         left = 0.0 if f(0.0) >= 0 else brentq(f, 0.0, t_peak, xtol=1e-14)
         right = 1.0 if f(1.0) >= 0 else brentq(f, t_peak, 1.0, xtol=1e-14)
-        assert abs(half_width_numeric(wdef) - 10.0 * (right - left)) < 2e-7
+        assert abs(_half_width(wdef) - 10.0 * (right - left)) < 2e-7
 
     @pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
     def test_analytic_matches_bisection(self, n):
-        numeric = half_width_numeric(ExpKernelWindow(PolynomialKernel(n, n)))
+        numeric = _half_width(ExpKernelWindow(PolynomialKernel(n, n)))
         assert abs(numeric - half_width_analytic(n)) < 0.02
 
 
@@ -343,17 +369,19 @@ class TestChunkedBand:
     @pytest.mark.parametrize("label, spec", TABLE_ROWS)
     def test_table_row_matches_whole_band(self, label, spec):
         wdef = parse_window_spec(spec)
+        w = _nodes(wdef)
         seg = _segment(wdef)
         omega0 = main_lobe_width(seg)
         want = (
             omega0,
-            energy_leakage(_nodes(wdef), omega0),
+            energy_leakage(w, omega0),
             *first_sidelobe(seg),
             decay_scale(seg),
-            half_width_numeric(wdef),
+            half_width_numeric(wdef, w),
         )
         got = tuple(full_report(wdef).as_dict().values())
         assert np.max(np.abs(np.subtract(got, want))) < 1e-9
+        assert got[-1] == want[-1]  # the half width reads the same nodes, bit for bit
 
     @pytest.mark.parametrize(
         "spec, cause, message",
@@ -440,7 +468,6 @@ class TestChunkedBand:
             shapes.append(np.shape(t))
             return window_eval(wdef, t)
 
-        metrics._node_values.cache_clear()
         monkeypatch.setattr(metrics, "window_eval", counted)
         return shapes
 
@@ -456,23 +483,9 @@ class TestChunkedBand:
         compute_table()
         assert len(shapes) == 3 * len(TABLE_ROWS)
 
-    def test_node_values_are_read_only(self):
-        w = metrics._node_values(catalog("hann"))
-        with pytest.raises(ValueError, match="read-only"):
-            w[0] = 1.0
+    def test_simpson_rule_is_read_only(self):
         for a in metrics._simpson_rule(N_PANELS):
             assert not a.flags.writeable
-
-    def test_reports_of_alternating_windows_match_fresh_ones(self):
-        # the node values cached for a are dropped for b and evaluated again
-        windows = [parse_window_spec(spec) for spec in ("exp:win:hann", "tukey:alpha=0.3", "exp:win:hann")]
-        fresh = []
-        for wdef in windows:
-            metrics._node_values.cache_clear()
-            fresh.append((full_report(wdef), half_width_numeric(wdef)))
-        metrics._node_values.cache_clear()
-        got = [(full_report(wdef), half_width_numeric(wdef)) for wdef in windows]
-        assert repr(got) == repr(fresh)
 
     def test_table_builds_one_plan(self):
         _chirp_plan.cache_clear()
@@ -481,6 +494,39 @@ class TestChunkedBand:
         assert _chirp_plan.cache_info().misses == 1
         _chirp_plan(N_PANELS + 1, N_PANELS, 2.0 ** -20)
         assert _chirp_plan.cache_info().misses == 1
+
+
+def _is_zero(wdef, f):
+    """Whether A(f) = exp(-i pi f) Fhat(f) of a symmetric window changes sign between
+    the bins next to the bin nearest f, or is at most 1e-15 A(0) at one of them.
+
+    A is the real cosine sum over the Simpson nodes t_k of s_k W(t_k) cos(2 pi f (t_k - 1/2)),
+    computed directly, not by the band transform that found the null.
+    """
+    t, s = _simpson_rule(N_PANELS)
+    freqs = np.append(0.0, (round(f * PAD_FACTOR) + np.arange(-1, 2)) / PAD_FACTOR)
+    a0, *a = np.cos(2.0 * np.pi * np.outer(freqs, t - 0.5)) @ (s * window_eval(wdef, t))
+    return bool((np.diff(np.sign(a)) != 0).any() or (np.abs(a) <= 1e-15 * a0).any())
+
+
+class TestNullKinds:
+    """A null is a local minimum of |Fhat| on the 1/PAD_FACTOR Hz grid: a zero of A or a dip."""
+
+    @pytest.mark.parametrize("label, spec", TABLE_ROWS)
+    def test_table_rows_first_two_nulls_are_zeros(self, label, spec):
+        wdef = parse_window_spec(spec)
+        for f in _band_lobes(_nodes(wdef)).nulls[:2]:
+            assert _is_zero(wdef, f), f
+
+    def test_gaussian_first_null_zero_or_dip(self):
+        # sigma = 0.1015 reads its first zero as Omega0; at sigma = 0.102 the
+        # first null is a dip 121.7 dB down and the first zero is the second null
+        zero, dip = (parse_window_spec(f"gaussian:sigma={s}") for s in ("0.1015", "0.102"))
+        nulls = _band_lobes(_nodes(zero)).nulls
+        assert round(nulls[0], 4) == 9.2427 and _is_zero(zero, nulls[0])
+        nulls = _band_lobes(_nodes(dip)).nulls
+        assert round(nulls[0], 4) == 8.3690 and not _is_zero(dip, nulls[0])
+        assert round(nulls[1], 4) == 9.2375 and _is_zero(dip, nulls[1])
 
 
 @pytest.fixture(scope="module")

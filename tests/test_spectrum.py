@@ -458,7 +458,7 @@ class TestSegmentLobes:
         seg = segment_lobes(s)
         assert seg.nulls[0] == pytest.approx(2.00, abs=0.01)
 
-    def test_starred_window_minima_count_as_nulls(self):
+    def test_poisson_minima_count_as_nulls(self):
         s = spectrum_fft(sample(catalog("poisson"), 8192), 128, 10.0)
         seg = segment_lobes(s)
         assert seg.nulls.size >= 2
@@ -540,7 +540,7 @@ class TestSegmentLobes:
             segment_lobes(s)
 
 
-class TestApplyWindow:
+class TestWindowedTone:
     def test_modulated_tone_nulls(self):
         # cos(2 pi 10 t) under a Hann window: spectrum peak at 10 Hz with
         # first nulls offset by the 2 Hz main-lobe half width

@@ -53,7 +53,7 @@ class TestCatalogEval:
         # for alpha < 2^-52, 1 - alpha/2 rounds to 1, so t = 1 is tested by 1 - t < alpha/2
         assert window_eval(catalog("tukey", alpha=alpha), np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
-    def test_starred_windows_positive_at_ends(self):
+    def test_windows_with_nonzero_ends_positive_there(self):
         for wid in ("gaussian", "cauchy_lorentz", "poisson", "hamming"):
             assert window_eval(catalog(wid), 0.0) > 0.0
             assert window_eval(catalog(wid), 1.0) > 0.0
@@ -160,6 +160,17 @@ class TestProperties:
         t = np.array(t)
         assert wdef.symmetric is True
         assert np.max(np.abs(window_eval(wdef, t) - window_eval(wdef, 1.0 - t))) <= 32 * np.finfo(float).eps
+
+    # Tukey and Planck-taper are written on min(t, 1 - t), exact for t >= 1/2
+    @settings(deadline=None, max_examples=10)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        epsilon=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    )
+    def test_tapers_mirror_bit_for_bit(self, alpha, epsilon):
+        t = np.arange(2 ** 19, 2 ** 20 + 1) / 2 ** 20
+        for wdef in (catalog("tukey", alpha=alpha), catalog("planck_taper", epsilon=epsilon)):
+            assert window_eval(wdef, t).tobytes() == window_eval(wdef, 1.0 - t).tobytes()
 
     @settings(deadline=None)
     @given(wdef=asymmetric_windows())

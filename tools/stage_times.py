@@ -76,8 +76,7 @@ def table_stage_sums():
         def wrapper(*args, **kwargs):
             calls[stage] += 1
             if stage == "segment_lobes":
-                start = args[1] if len(args) > 1 else 0  # an older checkout's segment_lobes took a start bin
-                bins[0] += args[0].amplitudes.size - max(start, 1) + 1
+                bins[0] += args[0].amplitudes.size
             outer, inner[0] = inner[0], 0.0
             t0 = time.perf_counter()
             try:
