@@ -25,7 +25,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .spectrum import _band_size, _check_quadrature_limit, spectrum_fft, spectrum_quadrature
+from .spectrum import spectrum_fft, spectrum_quadrature
 from .specs import format_window_spec, parse_window_spec
 from .table import TABLE_ROWS, compute_table
 from .metrics import MetricsReport, full_report
@@ -69,11 +69,9 @@ def cmd_sample(args) -> str:
 def cmd_spectrum(args) -> str:
     wdef = parse_window_spec(args.spec)
     if args.method == "fft":
-        s = spectrum_fft(sample(wdef, args.n), pad_factor=args.pad, f_max=args.fmax)
+        s = spectrum_fft(sample(wdef, args.n), args.pad, args.fmax)
     else:
-        _check_quadrature_limit(args.fmax)  # before the band size, which overflows for a huge f_max
-        m = _band_size(args.fmax, args.pad)
-        s = spectrum_quadrature(wdef, (m - 1) / args.pad, m)
+        s = spectrum_quadrature(wdef, args.pad, args.fmax)
     return _csv("f_hz,abs,db", args.pad, s.magnitudes, s.db)
 
 

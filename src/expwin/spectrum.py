@@ -169,7 +169,7 @@ def _band_size(f_max: float, pad_factor: int) -> int:
     return top // bottom + 1 if f_max / math.ulp(f_max) % 2 == 0 else -(-top // bottom)
 
 
-def spectrum_fft(values: np.ndarray, pad_factor: int = 128, f_max: float = 500.0) -> Spectrum:
+def spectrum_fft(values: np.ndarray, pad_factor: int, f_max: float) -> Spectrum:
     """Spectrum of the samples W(k/N), k < N, on the grid k/pad_factor Hz up to f_max.
 
     The Riemann sum dt * sum_k W(k dt) exp(2 pi i f k dt), dt = 1/N, is
@@ -210,33 +210,28 @@ def spectrum_simpson(values: np.ndarray, f_max: float, m: int) -> Spectrum:
     return Spectrum(_band_dft(_simpson_rule(panels)[1] * values, 1.0 / panels, df, m), df)
 
 
-def _check_quadrature_limit(f_max: float) -> None:
-    """ValueError for a finite f_max above 32768 Hz, the quadrature's limit of 2^21 panels."""
+def spectrum_quadrature(wdef: WindowDef, pad_factor: int, f_max: float) -> Spectrum:
+    """Spectrum on the grid k/pad_factor Hz up to f_max, the band of ``spectrum_fft``.
+
+    Composite Simpson over the window re-evaluated on a dense grid that
+    includes t = 1, with P = 64 panels per Hz of the top bin and at least
+    2^15; a finite f_max above 32768 Hz (2^21 panels) raises ValueError
+    before the band is counted.  A symmetric window is evaluated on t <= 1/2
+    only: node P/2 + j and its weight equal node P/2 - j's, so the folded
+    h_0 = g_(P/2), h_j = 2*g_(P/2-j) give the real, signed
+    A(f) = exp(-i*pi*f)*Fhat(f) = sum_j h_j cos(2*pi*f*j/P).
+    """
     if np.inf > f_max > 32768.0:
         raise ValueError(f"quadrature is limited to 32768 Hz, got {f_max:.12g} Hz")
-
-
-def spectrum_quadrature(wdef: WindowDef, f_max: float, m: int) -> Spectrum:
-    """Spectrum at m evenly spaced frequencies from 0 to f_max Hz.
-
-    ``spectrum_simpson`` of the window re-evaluated on a dense grid that
-    includes t = 1, with P = 64 panels per Hz of f_max and at least 2^15;
-    f_max above 32768 Hz (2^21 panels) raises ValueError.  A symmetric
-    window is evaluated on t <= 1/2 only: node P/2 + j and its weight equal
-    node P/2 - j's, so the folded h_0 = g_(P/2), h_j = 2*g_(P/2-j) give the
-    real, signed A(f) = exp(-i*pi*f)*Fhat(f) = sum_j h_j cos(2*pi*f*j/P).
-    """
-    if m < 1 or not 0.0 <= f_max < np.inf:
-        raise ValueError(f"need m >= 1 frequencies and a finite f_max >= 0 Hz, got {m} and {f_max:g}")
-    _check_quadrature_limit(f_max)
-    panels = max(2 ** 15, int(np.ceil(64.0 * f_max)))
+    m = _band_size(f_max, pad_factor)
+    panels = max(2 ** 15, int(np.ceil(64.0 * ((m - 1) / pad_factor))))
     panels += panels % 2
     t, weights = _simpson_rule(panels)
+    df = 1.0 / pad_factor
     if not wdef.symmetric:
-        return spectrum_simpson(window_eval(wdef, t), f_max, m)
+        return Spectrum(_band_dft(weights * window_eval(wdef, t), 1.0 / panels, df, m), df)
     h = (weights[: panels // 2 + 1] * window_eval(wdef, t[: panels // 2 + 1]))[::-1]
     h[1:] *= 2.0
-    df = f_max / max(m - 1, 1)
     return Spectrum(_band_dft(h, 1.0 / panels, df, m).real.copy(), df)
 
 

@@ -126,7 +126,7 @@ def test_criterion_3_spectral_oracle():
     for wid in sorted(CATALOG):
         wdef = catalog(wid)
         s_f = spectrum_fft(sample(wdef, 8192), 128, 50.0)
-        s_q = spectrum_quadrature(wdef, 50.0, s_f.frequencies.size)
+        s_q = spectrum_quadrature(wdef, 128, 50.0)
         rel = float(np.max(np.abs(s_f.magnitudes - s_q.magnitudes)) / s_q.magnitudes[0])
         if rel > worst[1]:
             worst = (wid, rel)

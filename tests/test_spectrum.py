@@ -294,41 +294,37 @@ class TestChirpPlan:
 
 class TestSpectrumQuadrature:
     def test_rectangular_null_at_integer(self):
-        s = spectrum_quadrature(catalog("rectangular"), 1.0, 2)
+        s = spectrum_quadrature(catalog("rectangular"), 2, 1.0)
         assert s.magnitudes[-1] < 1e-9
 
     def test_sine_dc_value(self):
-        s = spectrum_quadrature(catalog("sine"), 1.0, 2)
+        s = spectrum_quadrature(catalog("sine"), 2, 1.0)
         assert s.magnitudes[0] == pytest.approx(2 / math.pi, rel=1e-10)
 
     def test_cross_path_agreement_exp_window(self):
         wdef = ExpKernelWindow(PolynomialKernel(1, 1))
         s_f = spectrum_fft(sample(wdef, 8192), 128, 10.0)
-        s_q = spectrum_quadrature(wdef, 10.0, s_f.frequencies.size)
+        s_q = spectrum_quadrature(wdef, 128, 10.0)
         assert abs(s_f.amplitudes[0] - s_q.amplitudes[0]) < 1e-6
         rel = np.max(np.abs(s_f.magnitudes - s_q.magnitudes)) / s_q.magnitudes[0]
         assert rel < 1e-4
 
     @pytest.mark.parametrize("f", [2000.3, 20000.3])
     def test_high_frequency_matches_sinc(self, f):
-        # the panel count grows with the highest frequency
-        s = spectrum_quadrature(catalog("rectangular"), f, 4097)
+        # the panel count grows with the highest frequency; f is the top bin of the 0.1 Hz grid
+        s = spectrum_quadrature(catalog("rectangular"), 10, f)
         assert s.magnitudes[-1] == pytest.approx(_sinc_mag(f), rel=2e-6)
         assert np.max(np.abs(s.magnitudes - np.abs(np.sinc(s.frequencies)))) < 1e-9
 
     def test_sparse_band_rejected(self):
-        # two bins 20000.3 Hz apart over 1280020 panels: the chirp phase
-        # dt*df*k^2 reaches 2.6e10, where float64 keeps too few digits
-        with pytest.raises(ValueError, match="chirp-z phase"):
-            spectrum_quadrature(catalog("rectangular"), 20000.3, 2)
-
-    def test_no_frequencies_rejected(self):
-        with pytest.raises(ValueError, match="need m >= 1 frequencies"):
-            spectrum_quadrature(catalog("hann"), 1.0, 0)
+        # 2000 * 2^20 + 1 bins of 2^-20 Hz over 128000 panels: the chirp
+        # phase dt*df*m^2 reaches 3.3e7, where float64 keeps too few digits
+        with pytest.raises(ValueError, match=r"chirp-z phase dt\*df\*m\^2"):
+            spectrum_quadrature(catalog("rectangular"), 2 ** 20, 2000.0)
 
     def test_frequency_limit(self):
         with pytest.raises(ValueError, match="32768"):
-            spectrum_quadrature(catalog("rectangular"), 32768.5, 2)
+            spectrum_quadrature(catalog("rectangular"), 2, 32768.5)
 
     def test_conjugate_symmetry(self):
         # real windows: Fhat(-f) = conj(Fhat(f)); checked by direct Simpson
@@ -356,20 +352,20 @@ class TestSymmetricFold:
     @settings(max_examples=40, deadline=None)
     @given(wdef=symmetric_windows())
     def test_folded_magnitudes_match_unfolded(self, wdef):
-        got, want = spectrum_quadrature(wdef, 50.0, 6401), self.unfolded(wdef)
+        got, want = spectrum_quadrature(wdef, 128, 50.0), self.unfolded(wdef)
         assert got.amplitudes.dtype == np.float64
         assert np.max(np.abs(np.abs(got.amplitudes) - want.magnitudes)) <= 1e-12 * want.dc
 
     @settings(max_examples=15, deadline=None)
     @given(wdef=asymmetric_windows())
     def test_asymmetric_window_takes_unfolded_path(self, wdef):
-        got = spectrum_quadrature(wdef, 50.0, 6401).amplitudes
+        got = spectrum_quadrature(wdef, 128, 50.0).amplitudes
         assert got.dtype == complex
         assert got.tobytes() == self.unfolded(wdef).amplitudes.tobytes()
 
     def test_amplitude_is_signed(self):
         # rectangular: A(f) = exp(-i*pi*f) * Fhat(f) = sinc(f), negative on (1, 2)
-        s = spectrum_quadrature(catalog("rectangular"), 2.0, 257)
+        s = spectrum_quadrature(catalog("rectangular"), 128, 2.0)
         assert np.max(np.abs(s.amplitudes - np.sinc(s.frequencies))) < 1e-12
         assert s.amplitudes[150] < 0.0
 
@@ -381,6 +377,18 @@ _EXP_WINDOWS = st.one_of(
 
 
 class TestCrossPathProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        wdef=st.one_of(symmetric_windows(), asymmetric_windows()),
+        pad=st.integers(2, 300),
+        f_max=st.floats(0.0, 50.0),
+    )
+    def test_quadrature_band_is_fft_band(self, wdef, pad, f_max):
+        # both methods space the bins k/pad at 1.0/pad, bit for bit
+        s_q = spectrum_quadrature(wdef, pad, f_max)
+        s_f = spectrum_fft(sample(wdef, 8192), pad, f_max)
+        assert s_q.frequencies.tobytes() == s_f.frequencies.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(wdef=_EXP_WINDOWS)
     def test_fft_matches_quadrature(self, wdef):
@@ -389,7 +397,7 @@ class TestCrossPathProperties:
         # only first order, and it errs by a fraction of w[1] * dt.
         w = sample(wdef, 8192)
         s_f = spectrum_fft(w, 128, 50.0)
-        s_q = spectrum_quadrature(wdef, 50.0, s_f.frequencies.size)
+        s_q = spectrum_quadrature(wdef, 128, 50.0)
         dc = s_q.magnitudes[0]
         edge = (w[1] + w[-1]) / w.size / dc
         assert np.max(np.abs(s_f.magnitudes - s_q.magnitudes)) / dc <= 1e-4 + edge
@@ -402,7 +410,7 @@ class TestCrossPathProperties:
         wts = np.ones(panels + 1)
         wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
         integral = float(np.dot(wts, window_eval(wdef, t))) / (3.0 * panels)
-        dc = spectrum_quadrature(wdef, 50.0, 6401).amplitudes[0]
+        dc = spectrum_quadrature(wdef, 128, 50.0).amplitudes[0]
         assert abs(dc - integral) <= 1e-12 * integral
 
 

@@ -15,9 +15,10 @@ with::
 The set covers ``list``; ``table`` as CSV and markdown; ``metrics``, FFT
 ``spectrum`` and ``sample`` for the table rows, the catalog ids, their
 ``exp:win:`` forms and a few more specs; quadrature spectra of the catalog
-ids at four band settings; catalog windows at extreme parameters; a sample
-whose values span 1 to 1e-289; a run of spectra and samples whose grid
-changes from one invocation to the next; and error paths.  No invocation
+ids and of one asymmetric ``exp:poly`` at four band settings; catalog
+windows at extreme parameters; a sample whose values span 1 to 1e-289; a
+run of spectra and samples whose grid changes from one invocation to the
+next; and error paths.  No invocation
 allocates more than about 100 MB.  Warnings are printed without their
 source path, so they compare across checkouts.
 """
@@ -45,6 +46,7 @@ EXTRA_SPECS = [
 ]
 
 QUAD_BANDS = [[], ["--fmax", "0.29", "--pad", "100"], ["--fmax", "900", "--pad", "3"], ["--fmax", "0.005"]]
+QUAD_ASYMMETRIC_SPEC = "exp:poly:m=1,n=2"  # the catalog ids are symmetric: this one takes the unfolded path
 
 EXTREME_SPECS = [
     "kaiser:alpha=300",
@@ -121,8 +123,8 @@ def invocations():
         yield ["spectrum", spec]
         yield ["sample", spec, "--n", "257"]
     for band in QUAD_BANDS:
-        for wid in catalog_ids:
-            yield ["spectrum", wid, "--method", "quad", *band]
+        for spec in catalog_ids + [QUAD_ASYMMETRIC_SPEC]:
+            yield ["spectrum", spec, "--method", "quad", *band]
     for spec in EXTREME_SPECS:
         yield ["sample", spec, "--n", "4"]
     # values from 1 down to about 1e-289: CSV cells on both sides of the

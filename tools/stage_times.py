@@ -14,7 +14,13 @@ those evaluations count under ``window_eval``, not ``half_width_numeric``.
 the ``full_report`` line and ``_band_dft`` times the transforms alone.
 The ``segment_lobes`` line also gives the bins it searched per table: the
 whole band so far, after each 64 Hz chunk.  The whole table is
-timed REPEATS times and each stage keeps its best sum.  The ``_csv`` line
+timed REPEATS times and each stage keeps its best sum.  The ``np.fft
+transforms`` line gives the best summed time, and the calls per table, of
+numpy's ``fft``, ``ifft``, ``rfft`` and ``irfft``: they are wrapped as the
+stages are but not subtracted from any, since they run inside
+``_band_dft`` and ``energy_leakage``, so they show the part of those
+stages that stays while the transforms' bits fix every printed byte.
+The ``_csv`` line
 gives the best of REPEATS calls of ``expwin.cli._csv`` on the default
 ``expwin spectrum hann`` band, 6401 rows of frequency, amplitude and dB,
 the CSV writer that ``spectrum`` and ``sample`` end in.  The ``_cells``
@@ -44,6 +50,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import expwin
 from expwin import TABLE_ROWS, cli, metrics, spectrum
 from expwin.specs import parse_window_spec
@@ -62,14 +70,17 @@ _cells.grid(6401, 128)
 print(t1 - t0, time.perf_counter() - t1)
 """
 STAGES = ("window_eval", "_band_dft", "segment_lobes", "energy_leakage", "half_width_numeric", "full_report")
+TRANSFORMS = ("fft", "ifft", "rfft", "irfft")  # of np.fft, timed inside the stages, not subtracted from them
 
 
 def table_stage_sums():
     """Self seconds and calls per stage, summed over the rows of one pass
-    through the table, and the bins ``segment_lobes`` searched."""
+    through the table, the bins ``segment_lobes`` searched, and the seconds
+    and calls of numpy's FFTs."""
     sums = dict.fromkeys(STAGES, 0.0)
     calls = dict.fromkeys(STAGES, 0)
     bins = [0]
+    ffts = [0.0, 0]
     inner = [0.0]  # time of the wrapped calls made so far inside the running call
 
     def timed(stage, fn):
@@ -88,9 +99,23 @@ def table_stage_sums():
 
         return wrapper
 
+    def transform(fn):
+        def wrapper(*args, **kwargs):
+            ffts[1] += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ffts[0] += time.perf_counter() - t0
+
+        return wrapper
+
     originals = {stage: getattr(metrics, stage) for stage in STAGES[:-1]}
+    transforms = {name: getattr(np.fft, name) for name in TRANSFORMS}
     for stage, fn in originals.items():
         setattr(metrics, stage, timed(stage, fn))
+    for name, fn in transforms.items():
+        setattr(np.fft, name, transform(fn))
     try:
         report = timed("full_report", metrics.full_report)
         for label, spec in TABLE_ROWS:
@@ -98,7 +123,9 @@ def table_stage_sums():
     finally:
         for stage, fn in originals.items():
             setattr(metrics, stage, fn)
-    return sums, calls, bins[0]
+        for name, fn in transforms.items():
+            setattr(np.fft, name, fn)
+    return sums, calls, bins[0], ffts
 
 
 def csv_seconds():
@@ -142,7 +169,7 @@ def quadrature_seconds(spec):
         for _ in range(REPEATS):
             before = minor_faults()
             t0 = time.perf_counter()
-            spectrum_quadrature(wdef, 50.0, 6401)
+            spectrum_quadrature(wdef, 128, 50.0)
             runs.append((time.perf_counter() - t0, minor_faults() - before))
     finally:
         spectrum._chirp_plan = plan
@@ -160,13 +187,15 @@ def main():
         before = minor_faults()
         runs.append(table_stage_sums())
         faults.append(minor_faults() - before)
-    _, calls, bins = runs[0]
+    _, calls, bins, (_, fft_calls) = runs[0]
     for stage in STAGES:
         line = f"{stage:20s} {min(run[0][stage] for run in runs):.3f} s {calls[stage]:6d} calls"
         print(line + (f" {bins:8d} bins" if stage == "segment_lobes" else ""))
     totals = [sum(run[0].values()) for run in runs]
     best = totals.index(min(totals))
     print(f"{'total':20s} {totals[best]:.3f} s")
+    fft_seconds = min(run[3][0] for run in runs)
+    print(f"{'np.fft transforms':20s} {fft_seconds:.3f} s {fft_calls:6d} calls, inside the stages above")
     seconds, rows = csv_seconds()
     print(f"{'_csv':20s} {seconds:.4f} s {rows:5d} rows of spectrum hann")
     tables, grid = cells_first_use_seconds()
